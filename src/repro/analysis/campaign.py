@@ -13,12 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..cache.fastsim import CompiledTrace
 from ..cache.hierarchy import HierarchyConfig
 from ..core.prng import derive_run_seeds
-from ..cpu.core import ExecutionTimingModel, TraceDrivenCore, TraceRunResult
+from ..cpu.core import (
+    ExecutionTimingModel,
+    TraceDrivenCore,
+    TraceRunResult,
+    timing_overhead_cycles,
+)
 from ..cpu.trace import Trace
 from ..engine import get_engine
 from ..workloads.base import MemoryLayout, random_layouts
+from ..workloads.relocation import check_relocation, layout_line_table
 
 __all__ = ["CampaignResult", "run_campaign", "run_layout_campaign"]
 
@@ -162,9 +169,18 @@ def run_layout_campaign(
     layout — exactly the situation the industrial high-water-mark practice
     faces.
 
-    With ``jobs > 1`` (or ``0`` for one worker per CPU) the layouts are
-    distributed over a process pool; ``trace_builder`` must then be
-    picklable under spawn-based start methods (see
+    The trace is built and compiled once, at the first layout (the
+    template); every layout is then the template relocated by its code and
+    data shifts (:mod:`repro.workloads.relocation`), and the engine runs all
+    of them through :meth:`repro.engine.Engine.run_layouts`.  One more build,
+    at the layout that moves the most segments, checks that
+    ``trace_builder`` honours the relocation contract.  Raises
+    :class:`ValueError` when a shift is not a multiple of the L1 line size,
+    a layout makes the segments overlap, or the check build is not the
+    relocated template.
+
+    With ``jobs > 1`` (or ``0`` for one worker per CPU) column chunks of
+    the relocated line table are distributed over a process pool (see
     :mod:`repro.analysis.parallel`).  Results are reassembled in layout
     order, so serial and parallel campaigns are bit-exact.
     """
@@ -172,33 +188,48 @@ def run_layout_campaign(
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
         layouts = random_layouts(runs, master_seed=master_seed)
-    get_engine(engine)  # reject unknown engines before any simulation work
-    from .parallel import resolve_jobs, run_layout_campaign_parallel
+    if not layouts:
+        raise ValueError("layout campaign needs at least one memory layout")
+    backend = get_engine(engine)  # reject unknown engines before any simulation work
+    from .parallel import resolve_jobs, run_layouts_parallel
+
+    template = trace_builder(layouts[0])
+    compiled = CompiledTrace(template, line_size=config.il1.line_size)
+    line_table = layout_line_table(compiled, layouts[0], layouts)
+    check = _check_layout_index(layouts)
+    if check:
+        layout = layouts[check]
+        built = CompiledTrace(trace_builder(layout), line_size=compiled.line_size)
+        check_relocation(compiled.relocated(line_table[:, check]), built, layout)
+    overhead_cycles = timing_overhead_cycles(template, timing)
 
     effective_jobs = min(resolve_jobs(jobs), len(layouts))
     if effective_jobs > 1:
-        return run_layout_campaign_parallel(
-            trace_builder,
-            config,
-            layouts,
-            master_seed=master_seed,
-            setup=setup,
-            engine=engine,
-            timing=timing,
-            jobs=effective_jobs,
-            chunk_size=chunk_size,
+        results = run_layouts_parallel(
+            config, compiled, line_table, backend,
+            jobs=effective_jobs, chunk_size=chunk_size,
         )
-    execution_times: List[int] = []
-    name = ""
-    for layout in layouts:
-        trace = trace_builder(layout)
-        name = trace.name
-        core = TraceDrivenCore(config, trace, timing=timing)
-        result = core.run(0, engine=engine)
-        execution_times.append(result.cycles)
+    else:
+        results = backend.run_layouts(config, compiled, line_table)
     return CampaignResult(
-        workload=name,
+        workload=template.name,
         setup=setup,
-        execution_times=execution_times,
+        execution_times=[result.cycles + overhead_cycles for result in results],
         master_seed=master_seed,
     )
+
+
+def _check_layout_index(layouts: Sequence[MemoryLayout]) -> int:
+    """The layout the relocation contract is checked at: the first one that
+    moves the most segments away from the template (``layouts[0]``); ``0``
+    when every layout is the template, which needs no check."""
+    template = layouts[0]
+
+    def moved(layout: MemoryLayout) -> int:
+        return (
+            (layout.code_base != template.code_base)
+            + (layout.data_base != template.data_base)
+            + (layout.stack_base != template.stack_base)
+        )
+
+    return max(range(len(layouts)), key=lambda index: moved(layouts[index]))

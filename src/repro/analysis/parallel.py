@@ -23,7 +23,7 @@ from ..exec.pool import (
     _worker_simulator,
     partition_chunks,
     run_campaign_parallel,
-    run_layout_campaign_parallel,
+    run_layouts_parallel,
 )
 
 __all__ = [
@@ -31,5 +31,5 @@ __all__ = [
     "resolve_jobs",
     "partition_chunks",
     "run_campaign_parallel",
-    "run_layout_campaign_parallel",
+    "run_layouts_parallel",
 ]

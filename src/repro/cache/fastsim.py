@@ -26,6 +26,7 @@ Supported configuration subset (everything the paper's experiments need):
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -120,6 +121,23 @@ class CompiledTrace:
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+    def relocated(self, unique_lines: Sequence[int]) -> "CompiledTrace":
+        """This trace with its line table replaced by ``unique_lines``.
+
+        ``kinds`` and ``line_ids`` are shared, not copied; line ``uid`` of
+        the copy is ``unique_lines[uid]`` (see
+        :mod:`repro.workloads.relocation`).
+        """
+        lines = [int(line) for line in unique_lines]
+        if len(lines) != len(self.unique_lines):
+            raise ValueError(
+                f"relocation needs {len(self.unique_lines)} line addresses, "
+                f"got {len(lines)}"
+            )
+        clone = copy.copy(self)
+        clone.unique_lines = lines
+        return clone
 
     @property
     def footprint_bytes(self) -> int:

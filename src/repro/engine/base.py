@@ -41,6 +41,8 @@ To add a backend: subclass :class:`Engine`, implement :meth:`Engine.simulator`
 returning an object with ``run(seed)`` / ``run_batch(seeds)`` producing
 :class:`~repro.cache.fastsim.FastRunResult`, and call
 :func:`register_engine` at import time (see ``repro/engine/__init__.py``).
+Layout campaigns enter through :meth:`Engine.run_layouts`, whose default
+replays one relocated trace per layout on the engine's own simulator.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..cache.fastsim import CompiledTrace, FastRunResult
     from ..cache.hierarchy import HierarchyConfig
 
@@ -94,6 +98,25 @@ class Engine(ABC):
         self, config: "HierarchyConfig", compiled: "CompiledTrace"
     ) -> EngineSimulator:
         """Build a simulator for one (hierarchy, compiled trace) pair."""
+
+    def run_layouts(
+        self,
+        config: "HierarchyConfig",
+        compiled: "CompiledTrace",
+        line_table: "np.ndarray",
+    ) -> List["FastRunResult"]:
+        """One seed-0 run of ``compiled`` per memory layout, in column order.
+
+        ``line_table`` is ``(n_lines, n_layouts)``: column ``i`` replaces
+        ``compiled.unique_lines`` for layout ``i`` (see
+        :mod:`repro.workloads.relocation`).  This default replays each
+        relocated trace on its own simulator; batch engines override it to
+        run the layouts as lanes of one execution.
+        """
+        return [
+            self.simulator(config, compiled.relocated(column)).run(0)
+            for column in line_table.T
+        ]
 
     def availability(self) -> Optional[str]:
         """``None`` when the engine can run here, else why it cannot.

@@ -19,6 +19,11 @@ Two execution paths share the setup and seed-derivation machinery:
   the original per-access program, kept as the fallback for configurations
   the plan compiler does not model and as an independent cross-check.
 
+Layout campaigns (:meth:`NumpyEngine.run_layouts`) reuse the plan path with
+one lane per memory layout instead of one per seed: every lane runs seed 0
+over its own relocated line table, so each lane gets its own set map even
+under deterministic placement.
+
 Placement maps are evaluated per (seed, cache) with the vectorized policy
 hooks (:meth:`repro.core.placement.PlacementPolicy.set_index_array`), only
 over the rows each slot can actually index, and memoized by content hash
@@ -608,6 +613,7 @@ class _VectorSimulator:
         compiled: CompiledTrace,
         max_lanes: Optional[int] = None,
         use_plan: Optional[bool] = None,
+        per_lane_maps: bool = False,
     ) -> None:
         self.config = config
         self.compiled = compiled
@@ -653,7 +659,9 @@ class _VectorSimulator:
         self._buffer_pool: dict = {}
         if use_plan is None or use_plan:
             try:
-                self._plan = compile_plan(config, compiled)
+                self._plan = compile_plan(
+                    config, compiled, per_lane_maps=per_lane_maps
+                )
             except PlanUnsupported as error:
                 if use_plan:
                     raise
@@ -699,14 +707,38 @@ class _VectorSimulator:
             results.extend(runner(seeds[start : start + self.max_lanes]))
         return results
 
+    def run_layouts(self, line_table: np.ndarray) -> List[FastRunResult]:
+        """One seed-0 lane per column of ``line_table``, chunked by
+        ``max_lanes`` (see :meth:`NumpyEngine.run_layouts`)."""
+        results: List[FastRunResult] = []
+        for start in range(0, line_table.shape[1], self.max_lanes):
+            block = line_table[:, start : start + self.max_lanes]
+            results.extend(
+                self._run_lanes_plan([0] * block.shape[1], line_table=block)
+            )
+        return results
+
     # ------------------------------------------------------------------ setup
 
     def _build_cache(
         self, slot_state, n_lanes, placement_seeds, replacement_seeds,
-        cls=_LaneCache, rows=None, slot=0,
+        cls=_LaneCache, rows=None, slot=0, line_table=None,
     ):
         cache_config, policy, randomized, tags, static_sets = slot_state
-        if randomized:
+        if line_table is not None:
+            # Layout lanes share seed 0, hence one placement policy; each
+            # lane maps its own relocated lines through it.
+            policy = make_placement(
+                cache_config.placement,
+                cache_config.geometry,
+                seed=int(placement_seeds[0]),
+            )
+            line_sets = (
+                policy.set_index_array(line_table.ravel())
+                .astype(np.int64, copy=False)
+                .reshape(line_table.shape)
+            )
+        elif randomized:
             seed_list = [int(seed) for seed in placement_seeds]
             if rows is not None and rows.size < len(self._lines):
                 # Evaluate the map only over the rows this slot can index;
@@ -744,18 +776,23 @@ class _VectorSimulator:
             )
         return cls(cache_config, n_lanes, line_sets, tags, replacement_seeds)
 
-    def _build_hierarchy(self, seeds: Sequence[int], cls):
+    def _build_hierarchy(self, seeds: Sequence[int], cls, line_table=None):
         n = len(seeds)
         per_cache = derive_seed_arrays(seeds)
         rows = self._slot_rows
         il1 = self._build_cache(
-            self._slots[0], n, *per_cache[0], cls=cls, rows=rows[0], slot=0
+            self._slots[0], n, *per_cache[0], cls=cls, rows=rows[0], slot=0,
+            line_table=line_table,
         )
         dl1 = self._build_cache(
-            self._slots[1], n, *per_cache[1], cls=cls, rows=rows[1], slot=1
+            self._slots[1], n, *per_cache[1], cls=cls, rows=rows[1], slot=1,
+            line_table=line_table,
         )
         l2 = (
-            self._build_cache(self._slots[2], n, *per_cache[2], cls=cls, slot=2)
+            self._build_cache(
+                self._slots[2], n, *per_cache[2], cls=cls, slot=2,
+                line_table=line_table,
+            )
             if self._slots[2] is not None
             else None
         )
@@ -789,12 +826,14 @@ class _VectorSimulator:
 
     # ------------------------------------------------------- plan execution
 
-    def _run_lanes_plan(self, seeds: Sequence[int]) -> List[FastRunResult]:
+    def _run_lanes_plan(
+        self, seeds: Sequence[int], line_table: Optional[np.ndarray] = None
+    ) -> List[FastRunResult]:
         if not seeds:
             return []
         plan = self._plan
         n = len(seeds)
-        il1, dl1, l2 = self._build_hierarchy(seeds, _PlanCache)
+        il1, dl1, l2 = self._build_hierarchy(seeds, _PlanCache, line_table)
 
         timings = self.config.timings
         l2_hit_latency = timings.l2_hit
@@ -1287,3 +1326,24 @@ class NumpyEngine(Engine):
         return _VectorSimulator(
             config, compiled, max_lanes=self.max_lanes, use_plan=self.use_plan
         )
+
+    def run_layouts(
+        self, config: HierarchyConfig, compiled: CompiledTrace, line_table: np.ndarray
+    ) -> List[FastRunResult]:
+        """Every layout as one lane of a single plan execution.
+
+        Lane ``i`` maps column ``i`` of ``line_table`` through the
+        hierarchy's placement under seed 0, and the plan is compiled with
+        ``per_lane_maps`` (singleton rule on every slot, no seed-invariant
+        collapse), so each lane is bit-exact with a per-layout run.
+        ``use_plan=False`` keeps the per-layout default; configurations
+        outside the plan model raise
+        :class:`~repro.engine.plan.PlanUnsupported` (no engine models them).
+        """
+        if self.use_plan is False:
+            return super().run_layouts(config, compiled, line_table)
+        simulator = _VectorSimulator(
+            config, compiled, max_lanes=self.max_lanes, use_plan=True,
+            per_lane_maps=True,
+        )
+        return simulator.run_layouts(line_table)

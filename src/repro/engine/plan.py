@@ -18,7 +18,9 @@ access can be dropped from the simulated program entirely:
   line ``u``, ``u`` is resident.  A potential miss on ``u`` itself evicts at
   most one (unknown) line, so the only line whose residence survives the
   access is ``u``.  Hence the next access **to the same cache** is a
-  guaranteed hit iff it touches the same line.
+  guaranteed hit iff it touches the same line.  The rule holds for any set
+  map, so it also serves lanes with per-lane deterministic maps (layout
+  lanes, ``per_lane_maps``).
 * *Deterministic placement* (per-set rule): set indices are seed-invariant,
   and an access can only evict lines of its own set, so the guarantee is
   tracked per set: an access is a guaranteed hit iff the previous access of
@@ -184,12 +186,16 @@ def _static_sets(config: CacheConfig, lines: np.ndarray) -> np.ndarray:
 
 
 def _slot_signature(
-    name: str, config: CacheConfig, lines: np.ndarray, uids: List[int]
+    name: str,
+    config: CacheConfig,
+    lines: np.ndarray,
+    uids: List[int],
+    per_lane_maps: bool = False,
 ) -> SlotSignature:
     randomized = placement_is_randomized(config.placement)
     max_lines_per_set: Optional[int] = None
     inert = False
-    if not randomized:
+    if not (randomized or per_lane_maps):
         if uids:
             sets = _static_sets(config, lines)
             counts = np.bincount(
@@ -215,8 +221,16 @@ def _slot_signature(
     )
 
 
-def compile_plan(config: HierarchyConfig, compiled: CompiledTrace) -> TracePlan:
+def compile_plan(
+    config: HierarchyConfig, compiled: CompiledTrace, per_lane_maps: bool = False
+) -> TracePlan:
     """Compile ``compiled`` for ``config`` into a :class:`TracePlan`.
+
+    ``per_lane_maps`` compiles for lanes whose set maps differ even under
+    deterministic placement (the layout lanes of
+    :meth:`repro.engine.Engine.run_layouts`, each with its own relocated line
+    table): every slot then uses the singleton rule, which holds for any
+    map, and no slot is inert, so no lanes are ever merged as seed-invariant.
 
     Raises :class:`PlanUnsupported` for configurations outside the model
     (callers fall back to the per-access interpreter).
@@ -235,11 +249,11 @@ def compile_plan(config: HierarchyConfig, compiled: CompiledTrace) -> TracePlan:
     slot_configs = (config.il1, config.dl1)
     write_back = [c.write_policy == WRITE_BACK for c in slot_configs]
     touches = [replacement_touches_on_hit(c.replacement) for c in slot_configs]
-    # Deterministic slots elide per set; randomized slots use one whole-slot
-    # guarantee (key -1).
+    # Deterministic slots elide per set; randomized slots and per-lane maps
+    # use one whole-slot guarantee (key -1).
     set_keys: List[Optional[List[int]]] = [
         None
-        if placement_is_randomized(c.placement)
+        if per_lane_maps or placement_is_randomized(c.placement)
         else _static_sets(c, lines).tolist()
         for c in slot_configs
     ]
@@ -297,7 +311,7 @@ def compile_plan(config: HierarchyConfig, compiled: CompiledTrace) -> TracePlan:
         if cache_config is None:
             continue
         signatures.append(
-            _slot_signature(name, cache_config, lines, sorted(uids))
+            _slot_signature(name, cache_config, lines, sorted(uids), per_lane_maps)
         )
 
     step_tuples: List[Step] = [tuple(step) for step in steps]

@@ -40,7 +40,7 @@ from .executor import ShardReport, execute_scenario_sharded, reassemble_campaign
 from .pool import (
     partition_chunks,
     run_campaign_parallel,
-    run_layout_campaign_parallel,
+    run_layouts_parallel,
 )
 from .status import exec_status_snapshot, format_exec_status, render_exec_status
 
@@ -68,7 +68,7 @@ __all__ = [
     "resolve_jobs",
     "resolve_shard_size",
     "run_campaign_parallel",
-    "run_layout_campaign_parallel",
+    "run_layouts_parallel",
     "run_worker",
     "shard_key",
     "shard_task",

@@ -22,17 +22,18 @@ user-registered engines work under spawn-based start methods too, where
 workers re-import :mod:`repro.engine` and would only see the built-ins.
 
 The same pool parallelises deterministic layout campaigns
-(:func:`repro.analysis.campaign.run_layout_campaign`): there the unit of
-work is one :class:`~repro.workloads.base.MemoryLayout`, for which the
-worker rebuilds the trace and replays it with the fixed seed 0.  The
-``trace_builder`` shipped to the workers must be picklable under
-spawn-based multiprocessing start methods.
+(:func:`repro.analysis.campaign.run_layout_campaign`): each worker receives
+the compiled template trace once, and one task is a chunk of columns of the
+relocated line table, which the worker runs through the same
+:meth:`~repro.engine.Engine.run_layouts` entry point as the serial path.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple, TypeVar
+
+import numpy as np
 
 from ..analysis.campaign import CampaignResult
 from ..cache.fastsim import CompiledTrace, FastRunResult
@@ -40,20 +41,18 @@ from ..cache.hierarchy import HierarchyConfig
 from ..core.prng import derive_run_seeds
 from ..cpu.core import (
     ExecutionTimingModel,
-    TraceDrivenCore,
     TraceRunResult,
     timing_overhead_cycles,
     wrap_fast_result,
 )
 from ..cpu.trace import Trace
 from ..engine import Engine, EngineSimulator, get_engine
-from ..workloads.base import MemoryLayout
 from .plan import plan_shards, resolve_jobs, resolve_shard_size
 
 __all__ = [
     "partition_chunks",
     "run_campaign_parallel",
-    "run_layout_campaign_parallel",
+    "run_layouts_parallel",
 ]
 
 _T = TypeVar("_T")
@@ -87,9 +86,7 @@ def partition_chunks(
 # ---------------------------------------------------------------------------
 
 _worker_simulator: Optional[EngineSimulator] = None
-_worker_layout_state: Optional[
-    Tuple[Callable, HierarchyConfig, ExecutionTimingModel, Engine]
-] = None
+_worker_layout_state: Optional[Tuple[HierarchyConfig, CompiledTrace, Engine]] = None
 
 
 def _init_seed_worker(
@@ -106,29 +103,19 @@ def _run_seed_chunk(chunk: Tuple[int, List[int]]) -> Tuple[int, List[FastRunResu
 
 
 def _init_layout_worker(
-    trace_builder: Callable[[MemoryLayout], Trace],
-    config: HierarchyConfig,
-    timing: ExecutionTimingModel,
-    engine: Engine,
+    config: HierarchyConfig, compiled: CompiledTrace, engine: Engine
 ) -> None:
     global _worker_layout_state
-    _worker_layout_state = (trace_builder, config, timing, engine)
+    _worker_layout_state = (config, compiled, engine)
 
 
 def _run_layout_chunk(
-    chunk: Tuple[int, List[MemoryLayout]]
-) -> Tuple[int, str, List[int]]:
-    start, layouts = chunk
+    chunk: Tuple[int, np.ndarray]
+) -> Tuple[int, List[FastRunResult]]:
+    start, line_table = chunk
     assert _worker_layout_state is not None, "worker initializer did not run"
-    trace_builder, config, timing, engine = _worker_layout_state
-    name = ""
-    cycles: List[int] = []
-    for layout in layouts:
-        trace = trace_builder(layout)
-        name = trace.name
-        core = TraceDrivenCore(config, trace, timing=timing)
-        cycles.append(core.run(0, engine=engine).cycles)
-    return start, name, cycles
+    config, compiled, engine = _worker_layout_state
+    return start, engine.run_layouts(config, compiled, line_table)
 
 
 # ---------------------------------------------------------------------------
@@ -193,44 +180,35 @@ def run_campaign_parallel(
     )
 
 
-def run_layout_campaign_parallel(
-    trace_builder: Callable[[MemoryLayout], Trace],
+def run_layouts_parallel(
     config: HierarchyConfig,
-    layouts: Sequence[MemoryLayout],
-    master_seed: int = 0,
-    setup: str = "deterministic",
-    engine: str = "fast",
-    timing: ExecutionTimingModel = ExecutionTimingModel(),
+    compiled: CompiledTrace,
+    line_table: np.ndarray,
+    engine: Engine,
     jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
-) -> CampaignResult:
-    """Pool-parallel, bit-exact equivalent of :func:`~repro.analysis.campaign.run_layout_campaign`.
+) -> List[FastRunResult]:
+    """Pool-parallel, bit-exact equivalent of :meth:`Engine.run_layouts
+    <repro.engine.Engine.run_layouts>`.
 
-    One unit of work is one memory layout: the worker rebuilds the trace for
-    that layout and replays it with the fixed hierarchy seed 0 (deterministic
-    platforms ignore the seed).  ``layouts`` must already be materialised so
-    that serial and parallel campaigns consume the same layout sequence.
+    The template ``compiled`` ships once per worker; one task is a chunk of
+    columns (layouts) of ``line_table``.  Results are reassembled in column
+    order, so they equal the serial call's.
     """
-    if not layouts:
+    n_layouts = line_table.shape[1]
+    if not n_layouts:
         raise ValueError("layout campaign needs at least one memory layout")
-    # Resolve in the parent (unknown names fail with the registry's listing);
-    # the resolved engine object is what gets shipped to the workers.
-    backend = get_engine(engine)
-    jobs = min(resolve_jobs(jobs), len(layouts))
-    chunks = partition_chunks(list(layouts), jobs, chunk_size)
-    execution_times: List[Optional[int]] = [None] * len(layouts)
-    name = ""
+    jobs = min(resolve_jobs(jobs), n_layouts)
+    chunks = [
+        (start, line_table[:, start : start + len(columns)])
+        for start, columns in partition_chunks(range(n_layouts), jobs, chunk_size)
+    ]
+    results: List[Optional[FastRunResult]] = [None] * n_layouts
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_init_layout_worker,
-        initargs=(trace_builder, config, timing, backend),
+        initargs=(config, compiled, engine),
     ) as pool:
-        for start, chunk_name, cycles in pool.map(_run_layout_chunk, chunks):
-            execution_times[start : start + len(cycles)] = cycles
-            name = chunk_name
-    return CampaignResult(
-        workload=name,
-        setup=setup,
-        execution_times=list(execution_times),
-        master_seed=master_seed,
-    )
+        for start, chunk_results in pool.map(_run_layout_chunk, chunks):
+            results[start : start + len(chunk_results)] = chunk_results
+    return results

@@ -9,23 +9,26 @@ worker of a campaign — in-process pool workers and separately launched
   ``(start, count)`` seed slice.  Everything a worker on any host needs to
   rebuild the simulation.
 * ``leases/<spec_hash>.<key>.lease`` — an atomically created claim marker
-  holding the owner id, host, pid and an expiry deadline.  A shard is
+  holding the owner id, host, pid and an expiry deadline (created with its
+  content, so no reader ever sees an empty lease).  A shard is
   claimable when it has no lease, the lease has expired, or the owning
   process is provably dead (same host, pid gone).
 * ``workers/<owner>.json`` — per-worker heartbeat telemetry
   (:mod:`repro.exec.telemetry`).
 
-Claiming is optimistic: a fresh claim uses ``open(path, "x")`` (atomic
-create), a stale-lease reclaim atomically replaces the lease file and then
-re-reads it to confirm ownership.  The rare double-claim race after a
-reclaim is harmless by construction — shard execution is deterministic and
-publication into the store is an idempotent atomic replace of identical
-bytes, so two workers executing the same shard waste time but never
-corrupt results.
+Claiming is optimistic: a fresh claim hard-links a fully written temporary
+file to the lease path (atomic create-with-content; ``FileExistsError``
+means the lease is held), a stale-lease reclaim atomically replaces the
+lease file and then re-reads it to confirm ownership.  The rare
+double-claim race after a reclaim is harmless by construction — shard
+execution is deterministic and publication into the store is an
+idempotent atomic replace of identical bytes, so two workers executing the
+same shard waste time but never corrupt results.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -168,10 +171,12 @@ class FileQueue:
     ) -> bool:
         """Attempt to lease one shard for ``owner``; True on success.
 
-        Fresh claims create the lease file atomically (``O_EXCL``); stale
-        leases (expired, or same-host dead owner) are reclaimed by atomic
-        replacement followed by a read-back to confirm this owner won any
-        concurrent reclaim race.
+        Fresh claims create the lease file atomically with its content (a
+        hard link to a written temporary file: a concurrent reader sees no
+        lease or the whole lease, never an empty one it would take for
+        stale); stale leases (expired, or same-host dead owner) are
+        reclaimed by atomic replacement followed by a read-back to confirm
+        this owner won any concurrent reclaim race.
         """
         now = time.time() if now is None else now
         self.lease_root.mkdir(parents=True, exist_ok=True)
@@ -185,18 +190,19 @@ class FileQueue:
             },
             sort_keys=True,
         )
-        try:
-            with open(lease_path, "x") as handle:
-                handle.write(payload)
-            return True
-        except FileExistsError:
-            pass
-        lease = self.lease_for(task_path)
-        if lease is not None and lease.active(now):
-            return False
         temporary = lease_path.with_suffix(f".{uuid.uuid4().hex[:8]}.tmp")
         temporary.write_text(payload)
-        os.replace(temporary, lease_path)
+        try:
+            os.link(temporary, lease_path)
+            return True
+        except FileExistsError:
+            lease = self.lease_for(task_path)
+            if lease is not None and lease.active(now):
+                return False
+            os.replace(temporary, lease_path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                temporary.unlink()
         current = self.lease_for(task_path)
         return current is not None and current.owner == owner
 

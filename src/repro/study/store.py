@@ -40,8 +40,9 @@ legacy stores migrate in), and ``clear`` simply deletes it.
 The store is deliberately forgiving: unreadable, truncated or
 version-mismatched files are treated as cache misses (and overwritten by
 the next save), never as errors.  Saves are atomic (write to a temporary
-file, then :func:`os.replace`) so a killed run cannot leave a half-written
-entry behind.
+file of the writer's own, then :func:`os.replace`) so a killed run cannot
+leave a half-written entry behind, and concurrent writers of one entry
+never rename each other's temporary file away.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import contextlib
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -125,6 +127,14 @@ def _as_int_column(value: object) -> Optional[np.ndarray]:
     return None
 
 
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file of this writer's
+    own (``<name>.<nonce>.tmp``) and one :func:`os.replace`."""
+    temporary = path.with_name(f"{path.name}.{uuid.uuid4().hex[:8]}.tmp")
+    temporary.write_bytes(data)
+    os.replace(temporary, path)
+
+
 class ResultStore:
     """A directory of ``<spec_hash>.rcol`` scenario results."""
 
@@ -195,9 +205,10 @@ class ResultStore:
             for kind in _MANIFEST_KINDS
             for name in sorted(entries[kind])
         ]
-        temporary = self.root / f"{MANIFEST_NAME}.tmp"
-        temporary.write_text("\n".join(lines) + ("\n" if lines else ""))
-        os.replace(temporary, self.manifest_path)
+        _write_atomically(
+            self.manifest_path,
+            ("\n".join(lines) + ("\n" if lines else "")).encode(),
+        )
         self._appended = {
             (kind, name) for kind in _MANIFEST_KINDS for name in entries[kind]
         }
@@ -404,9 +415,7 @@ class ResultStore:
     ) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(spec_hash)
-        temporary = path.with_suffix(f"{columnar.COLUMNAR_SUFFIX}.tmp")
-        temporary.write_bytes(columnar.pack_entry(meta, columns))
-        os.replace(temporary, path)
+        _write_atomically(path, columnar.pack_entry(meta, columns))
         self._manifest_append("+", "results", spec_hash)
         return path
 
@@ -470,9 +479,7 @@ class ResultStore:
         """Persist one analysis payload atomically; returns the entry path."""
         self.analysis_root.mkdir(parents=True, exist_ok=True)
         path = self.analysis_path_for(spec_hash, analysis_hash)
-        temporary = path.with_suffix(".json.tmp")
-        temporary.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(temporary, path)
+        _write_atomically(path, json.dumps(payload, sort_keys=True).encode())
         self._manifest_append("+", "analysis", f"{spec_hash}.{analysis_hash}")
         return path
 
@@ -519,8 +526,9 @@ class ResultStore:
         The per-run counter lists become typed columns; everything else
         (version, slice bookkeeping, workload, engine) is header metadata.
         Publication is idempotent — two workers racing on a reclaimed lease
-        both write the same deterministic payload, and :func:`os.replace`
-        makes the last write win without torn files.
+        both write the same deterministic payload, each through its own
+        temporary file, and :func:`os.replace` makes the last write win
+        without torn files.
         """
         meta: Dict[str, object] = {}
         columns: Dict[str, object] = {}
@@ -532,9 +540,7 @@ class ResultStore:
                 meta[name] = value
         self.shard_root.mkdir(parents=True, exist_ok=True)
         path = self.shard_path_for(spec_hash, key)
-        temporary = path.with_suffix(f"{columnar.COLUMNAR_SUFFIX}.tmp")
-        temporary.write_bytes(columnar.pack_entry(meta, columns))
-        os.replace(temporary, path)
+        _write_atomically(path, columnar.pack_entry(meta, columns))
         with contextlib.suppress(OSError):
             self.legacy_shard_path_for(spec_hash, key).unlink(missing_ok=True)
         self._manifest_append("+", "shards", f"{spec_hash}.{key}")
@@ -593,7 +599,9 @@ class ResultStore:
                 path.unlink()
                 removed += 1
                 self._manifest_append("-", "shards", path.stem)
-        for path in self.shard_root.glob("*.tmp"):
+        # Only this spec's stragglers: another spec's publisher may be
+        # between writing its temporary file and renaming it.
+        for path in self.shard_root.glob(f"{prefix}.tmp"):
             with contextlib.suppress(OSError):
                 path.unlink()
         return removed
@@ -691,8 +699,9 @@ class ResultStore:
         straggler_roots = [self.analysis_root]
         if not analyses_only:
             straggler_roots.append(self.shard_root)
-            # Interrupted campaign-entry writers leave ``<hash>.rcol.tmp``
-            # beside the results; the glob is tmp-only, entries are safe.
+            # Interrupted campaign-entry writers leave
+            # ``<hash>.rcol.<nonce>.tmp`` beside the results; the glob is
+            # tmp-only, entries are safe.
             straggler_roots.append(self.root)
         for root in straggler_roots:
             if root.is_dir():

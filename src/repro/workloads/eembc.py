@@ -269,11 +269,11 @@ def eembc_trace(
 class EembcLayoutTraceBuilder:
     """Picklable ``layout -> trace`` builder for deterministic layout campaigns.
 
-    :func:`repro.analysis.campaign.run_layout_campaign` rebuilds the workload
-    trace once per memory layout; with ``jobs > 1`` that builder is shipped
-    to worker processes, which rules out lambdas and closures under
-    spawn-based multiprocessing.  This small frozen dataclass captures the
-    benchmark name and scale instead.
+    :func:`repro.analysis.campaign.run_layout_campaign` calls it at the
+    template layout and at one check layout, then relocates the template to
+    every other layout.  This small frozen dataclass captures the benchmark
+    name and scale, so the builder is also a comparable, picklable value
+    (scenario specs hand it around).
     """
 
     benchmark: str

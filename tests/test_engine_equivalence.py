@@ -12,13 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.campaign import run_campaign
+from repro.analysis.campaign import run_campaign, run_layout_campaign
 from repro.cache.cache import CacheConfig
 from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
 from repro.cpu.core import TraceDrivenCore
 from repro.cpu.trace import Trace
-from repro.engine import JitEngine, NumpyEngine, available_engines, get_engine
+from repro.engine import (
+    JitEngine,
+    NumpyEngine,
+    ReferenceEngine,
+    available_engines,
+    get_engine,
+)
+from repro.platform.leon3 import Leon3Parameters, leon3_hierarchy, platform_setup
+from repro.workloads.base import random_layouts
+from repro.workloads.eembc import EembcLayoutTraceBuilder, eembc_trace
+from repro.workloads.relocation import layout_line_table
 
 
 def build_config(
@@ -320,3 +330,73 @@ class TestCampaignLevelEquivalence:
             NumpyEngine(max_lanes=4).simulator(tiny_hierarchy_config, compiled).run_batch(seeds)
         )
         assert whole == chunked
+
+
+#: Hierarchies on which memory layouts change execution times, each with a
+#: workload that shows it.  fig4b's own modulo/LRU hierarchy gives every
+#: layout the same time, so it could not tell a wrong lane from a right one.
+#: A segment shift rotates modulo sets uniformly but regroups xor sets, so
+#: only the xor-small case catches lanes elided by the template's per-set
+#: rule instead of the singleton rule.
+SMALL_LEON3 = Leon3Parameters(l1_size_bytes=2048, l2_size_bytes=8192, l2_ways=2)
+LAYOUT_CASES = {
+    "xor": (lambda: platform_setup("xor"), "cacheb", 0.5),
+    "xor-small": (lambda: platform_setup("xor", SMALL_LEON3), "pntrch", 0.1),
+    "modulo-small": (lambda: platform_setup("modulo", SMALL_LEON3), "basefp", 0.1),
+    "fifo-plru": (
+        lambda: leon3_hierarchy(
+            "modulo", "xor", "fifo", "plru", parameters=SMALL_LEON3
+        ),
+        "basefp",
+        0.1,
+    ),
+}
+
+
+class TestLayoutLanes:
+    """Layouts run as lanes of one plan must match per-layout reference runs."""
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_lanes_match_per_layout_reference(self, case):
+        make_config, workload, scale = LAYOUT_CASES[case]
+        config = make_config()
+        layouts = random_layouts(12, master_seed=3)
+        template = CompiledTrace(
+            eembc_trace(workload, layouts[0], scale), line_size=config.il1.line_size
+        )
+        line_table = layout_line_table(template, layouts[0], layouts)
+        reference = ReferenceEngine()
+        expected = [
+            reference.simulator(
+                config,
+                CompiledTrace(
+                    eembc_trace(workload, layout, scale), line_size=config.il1.line_size
+                ),
+            ).run(0).as_dict()
+            for layout in layouts
+        ]
+        assert len({result["cycles"] for result in expected}) > 1
+        engines = {name: get_engine(name) for name in available_engines()}
+        engines.update({name: make() for name, make in EXTRA_PATHS.items()})
+        engines["numpy-chunked"] = NumpyEngine(max_lanes=5)
+        checked = []
+        for engine_name, engine in sorted(engines.items()):
+            try:
+                results = engine.run_layouts(config, template, line_table)
+            except ValueError:
+                continue  # the fast engine models random/lru replacement only
+            assert [result.as_dict() for result in results] == expected, engine_name
+            checked.append(engine_name)
+        assert {"numpy", "numpy-plan", "numpy-chunked", "reference"} <= set(checked)
+
+    def test_lanes_under_process_pool(self):
+        config = platform_setup("modulo", SMALL_LEON3)
+        builder = EembcLayoutTraceBuilder("basefp", scale=0.1)
+        serial = run_layout_campaign(
+            builder, config, runs=20, master_seed=3, engine="numpy"
+        )
+        parallel = run_layout_campaign(
+            builder, config, runs=20, master_seed=3, engine="numpy", jobs=2
+        )
+        assert parallel.execution_times == serial.execution_times
+        assert len(set(serial.execution_times)) > 1

@@ -241,6 +241,19 @@ class TestSeedInvariance:
         assert il1.max_lines_per_set == 3
         assert not plan.seed_invariant
 
+    def test_per_lane_maps_use_singleton_rule_and_are_never_inert(self):
+        # Layout lanes map each line to a different set per lane, so the
+        # per-set guarantee of a seed-invariant modulo/LRU plan is void.
+        config = make_config(l1_placement="modulo", l1_replacement="lru", with_l2=True)
+        accesses = [("fetch", 0), ("fetch", 1)] * 4
+        compiled = CompiledTrace(make_trace(accesses), line_size=32)
+        assert compile_plan(config, compiled).seed_invariant
+        plan = compile_plan(config, compiled, per_lane_maps=True)
+        assert plan.n_steps == 8
+        assert not plan.seed_invariant
+        assert not any(sig.inert for sig in plan.signatures)
+        assert all(sig.max_lines_per_set is None for sig in plan.signatures)
+
 
 class TestPlanShape:
     def test_describe_summarises_the_plan(self):

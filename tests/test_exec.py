@@ -7,11 +7,13 @@ execution — including after SIGKILLing a worker mid-shard and resuming.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -69,6 +71,26 @@ def _serial_times(scenario: Scenario) -> list:
         engine=scenario.engine,
     )
     return campaign.execution_times
+
+
+@contextlib.contextmanager
+def _fast_thread_switching():
+    """Switch threads far more often than the default, to provoke races."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _run_threads(targets, timeout: float = 30.0) -> None:
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive(), "thread did not finish in time"
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +210,25 @@ class TestFileQueue:
         assert queue.pending() == 0
         assert queue.lease_for(path) is None
 
+    def test_concurrent_fresh_claims_have_one_winner(self, tmp_path):
+        queue = FileQueue(tmp_path / "q")
+        with _fast_thread_switching():
+            for start in range(0, 80, 4):
+                path = queue.enqueue(_task(start=start))
+                owners = [f"worker-{index}" for index in range(6)]
+                barrier = threading.Barrier(len(owners))
+                won = []
+
+                def claim(owner):
+                    barrier.wait(timeout=10)
+                    if queue.try_claim(path, owner):
+                        won.append(owner)
+
+                _run_threads([lambda owner=owner: claim(owner) for owner in owners])
+                assert len(won) == 1, (start, won)
+                assert queue.lease_for(path).owner == won[0]
+        assert not list(queue.lease_root.glob("*.tmp"))
+
     def test_counts_and_clear(self, tmp_path):
         queue = FileQueue(tmp_path / "q")
         first = queue.enqueue(_task(start=0))
@@ -258,6 +299,34 @@ class TestStoreShardEntries:
         assert store.clear_shards("aaa") == 1
         assert store.shard_keys() == [("bbb", shard_key(0, 3))]
         assert store.clear_shards() == 1
+
+    def test_concurrent_publishers_of_one_shard(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        payload = {"version": 1, "cycles": list(range(64))}
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def publish():
+            barrier.wait(timeout=10)
+            for _ in range(50):
+                try:
+                    store.save_shard("aaa", shard_key(0, 64), payload)
+                except OSError as error:
+                    errors.append(error)
+
+        with _fast_thread_switching():
+            _run_threads([publish, publish])
+        assert errors == []
+        assert store.load_shard("aaa", shard_key(0, 64))["cycles"] == payload["cycles"]
+        assert not list(store.shard_root.glob("*.tmp"))
+
+    def test_clear_keeps_other_specs_in_flight_writes(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.save_shard("aaa", shard_key(0, 3), {"version": 1, "cycles": [1, 2, 3]})
+        in_flight = store.shard_root / f"bbb.{shard_key(0, 3)}.rcol.0123abcd.tmp"
+        in_flight.write_bytes(b"")
+        assert store.clear_shards("aaa") == 1
+        assert in_flight.exists()
 
     def test_shard_entries_do_not_pollute_campaign_keys(self, tmp_path):
         store = ResultStore(tmp_path / "store")
