@@ -775,9 +775,6 @@ def _print_engine_matrix() -> None:
             f"{flag(caps['requires_pickle']).ljust(8)}  "
             f"{availability}"
         )
-    for name, caps in matrix.items():
-        if caps["plan_fallback"]:
-            print(f"{name}: plan fallback: {caps['plan_fallback']}")
     from .engine.jit import numba_missing_reason
 
     importable = "importable" if numba_missing_reason() is None else "not importable"

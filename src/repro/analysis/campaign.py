@@ -94,7 +94,7 @@ def run_campaign(
     runs: int,
     master_seed: int = 0,
     setup: str = "",
-    engine: str = "fast",
+    engine: str = "numpy",
     timing: ExecutionTimingModel = ExecutionTimingModel(),
     keep_run_results: bool = False,
     jobs: int = 1,
@@ -112,14 +112,14 @@ def run_campaign(
     selects the execution mode: ``1`` (the default) runs every seed serially
     in-process, while ``jobs > 1`` (or ``0`` for one worker per CPU)
     distributes seed chunks over a process pool — see
-    :mod:`repro.analysis.parallel`.  Both paths are bit-exact: the parallel
+    :mod:`repro.exec.pool`.  Both paths are bit-exact: the parallel
     executor reassembles results in seed order, so the returned campaign is
     identical for any ``jobs`` value, with any engine.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     get_engine(engine)  # reject unknown engines before any simulation work
-    from .parallel import resolve_jobs, run_campaign_parallel
+    from ..exec import resolve_jobs, run_campaign_parallel
 
     effective_jobs = min(resolve_jobs(jobs), runs)
     if effective_jobs > 1:
@@ -154,7 +154,7 @@ def run_layout_campaign(
     master_seed: int = 0,
     setup: str = "deterministic",
     layouts: Optional[Sequence[MemoryLayout]] = None,
-    engine: str = "fast",
+    engine: str = "numpy",
     timing: ExecutionTimingModel = ExecutionTimingModel(),
     jobs: int = 1,
     chunk_size: Optional[int] = None,
@@ -181,7 +181,7 @@ def run_layout_campaign(
 
     With ``jobs > 1`` (or ``0`` for one worker per CPU) column chunks of
     the relocated line table are distributed over a process pool (see
-    :mod:`repro.analysis.parallel`).  Results are reassembled in layout
+    :mod:`repro.exec.pool`).  Results are reassembled in layout
     order, so serial and parallel campaigns are bit-exact.
     """
     if layouts is None:
@@ -191,7 +191,7 @@ def run_layout_campaign(
     if not layouts:
         raise ValueError("layout campaign needs at least one memory layout")
     backend = get_engine(engine)  # reject unknown engines before any simulation work
-    from .parallel import resolve_jobs, run_layouts_parallel
+    from ..exec import resolve_jobs, run_layouts_parallel
 
     template = trace_builder(layouts[0])
     compiled = CompiledTrace(template, line_size=config.il1.line_size)

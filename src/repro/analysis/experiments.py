@@ -83,7 +83,7 @@ class ExperimentSettings:
     campaign may use: ``1`` (default) is fully serial, ``0`` means one
     worker per CPU, and any other positive value is taken literally.
     Campaigns are bit-exact for every ``jobs`` value and every bit-exact
-    engine (see :mod:`repro.analysis.parallel`), so both knobs only affect
+    engine (see :mod:`repro.exec.pool`), so both knobs only affect
     wall-clock time.  ``jobs`` can also be set with ``REPRO_JOBS``.
 
     ``estimator`` names a registered pWCET estimator (see
@@ -102,7 +102,7 @@ class ExperimentSettings:
     runs: int = 300
     master_seed: int = 20160605
     scale: float = 1.0
-    engine: str = "fast"
+    engine: str = "numpy"
     jobs: int = 1
     estimator: str = ""
     shard_size: Optional[int] = None

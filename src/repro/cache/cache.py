@@ -2,8 +2,8 @@
 
 This is the object-oriented, easy-to-inspect cache model used by the unit
 tests, the mini-ISA interpreter and the examples.  The measurement campaigns
-use the flat-array engine in :mod:`repro.cache.fastsim`, which is
-cross-validated against this model in the test suite.
+use the batch engines of :mod:`repro.engine`, which are cross-validated
+against this model in the test suite.
 
 The model tracks tags, valid and dirty bits per way, delegates the
 address-to-set mapping to a :class:`~repro.core.placement.PlacementPolicy`
@@ -20,9 +20,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.bits import is_power_of_two
-from ..core.placement import PlacementGeometry, PlacementPolicy, make_placement
+from ..core.placement import (
+    PLACEMENT_NAMES,
+    PlacementGeometry,
+    PlacementPolicy,
+    make_placement,
+)
 from ..core.prng import SplitMix64
-from .replacement import ReplacementPolicy, make_replacement
+from .replacement import REPLACEMENT_NAMES, ReplacementPolicy, make_replacement
 
 __all__ = [
     "CacheConfig",
@@ -36,9 +41,10 @@ __all__ = [
 def derive_policy_seeds(cache_seed: int) -> Tuple[int, int]:
     """Derive independent (placement, replacement) seeds from a cache seed.
 
-    Both simulation engines (the reference model here and the fast campaign
-    engine) use this helper so that identical cache seeds produce identical
-    random placements *and* identical random-replacement victim sequences.
+    The reference model uses this helper and the batch engines vectorize the
+    same derivation (:func:`repro.engine.numpy_engine.derive_seed_arrays`), so
+    identical cache seeds produce identical random placements *and*
+    identical random-replacement victim sequences.
     """
     expander = SplitMix64(cache_seed)
     return expander.next_uint64(), expander.next_uint64()
@@ -99,6 +105,16 @@ class CacheConfig:
             raise ValueError(
                 f"{self.name}: write_policy must be '{WRITE_THROUGH}' or "
                 f"'{WRITE_BACK}', got {self.write_policy!r}"
+            )
+        if self.placement not in PLACEMENT_NAMES:
+            raise ValueError(
+                f"{self.name}: unknown placement policy {self.placement!r}; "
+                f"expected one of {PLACEMENT_NAMES}"
+            )
+        if self.replacement not in REPLACEMENT_NAMES:
+            raise ValueError(
+                f"{self.name}: unknown replacement policy {self.replacement!r}; "
+                f"expected one of {REPLACEMENT_NAMES}"
             )
 
     @property

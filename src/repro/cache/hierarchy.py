@@ -31,8 +31,9 @@ __all__ = [
 def derive_cache_seeds(hierarchy_seed: int) -> tuple[int, int, int]:
     """Derive (IL1, DL1, L2) cache seeds from one per-run hierarchy seed.
 
-    Shared by the reference hierarchy and the fast campaign engine so that
-    the two simulate bit-identical runs for the same seed.
+    The reference hierarchy uses this chain and the batch engines vectorize
+    it (:func:`repro.engine.numpy_engine.derive_seed_arrays`), so every
+    engine simulates bit-identical runs for the same seed.
     """
     expander = SplitMix64(hierarchy_seed)
     return expander.next_uint64(), expander.next_uint64(), expander.next_uint64()

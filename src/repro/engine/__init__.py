@@ -2,27 +2,25 @@
 
 Engine selection everywhere in the repository goes through this package:
 
->>> from repro.engine import available_engines, get_engine
->>> available_engines()
-('fast', 'numpy', 'reference')
->>> get_engine("fast").supports_batch
+>>> from repro.engine import registered_engines, get_engine
+>>> registered_engines()
+('jit', 'numpy', 'reference')
+>>> get_engine("numpy").supports_batch
 True
 
 Built-in backends:
 
-* ``fast``      — flat-array per-access Python engine (the historical
-  campaign workhorse, :mod:`repro.cache.fastsim`);
-* ``reference`` — object-oriented hierarchy model, slow but inspectable
-  (ground truth for cross-validation);
 * ``numpy``     — vectorized batch engine simulating all seeds of a campaign
-  chunk simultaneously (numpy is a declared dependency of the package); by
-  default it executes a compiled :class:`~repro.engine.plan.TracePlan` and
-  falls back to the per-access interpreter for unsupported configurations;
+  chunk simultaneously by executing a compiled
+  :class:`~repro.engine.plan.TracePlan` (numpy is a declared dependency of
+  the package); the default engine everywhere;
 * ``jit``       — the same compiled plan run by a numba-compiled per-lane
   kernel.  numba is optional (the ``jit`` extra): the engine is always
   *registered* but only *available* when numba imports —
   :func:`registered_engines` lists it either way,
-  :func:`available_engines` only when usable.
+  :func:`available_engines` only when usable;
+* ``reference`` — object-oriented hierarchy model, slow but inspectable
+  (the oracle every other engine is checked against).
 
 All are bit-exact with each other.  See DESIGN.md ("Engines") for the
 capability matrix and how to add a backend.
@@ -40,7 +38,6 @@ from .base import (
     registered_engines,
     unregister_engine,
 )
-from .fast import FastEngine
 from .jit import JitEngine, JitUnavailable
 from .numpy_engine import NumpyEngine
 from .reference import ReferenceEngine
@@ -48,7 +45,6 @@ from .reference import ReferenceEngine
 __all__ = [
     "Engine",
     "EngineSimulator",
-    "FastEngine",
     "JitEngine",
     "JitUnavailable",
     "NumpyEngine",
@@ -61,7 +57,6 @@ __all__ = [
     "unregister_engine",
 ]
 
-register_engine(FastEngine())
 register_engine(ReferenceEngine())
 register_engine(NumpyEngine())
 register_engine(JitEngine())

@@ -83,7 +83,7 @@ class EngineSimulator(Protocol):
 class Engine(ABC):
     """A named simulation backend with declared capabilities."""
 
-    #: Registry name (``"fast"``, ``"reference"``, ``"numpy"``, ...).
+    #: Registry name (``"numpy"``, ``"reference"``, ``"jit"``, ...).
     name: str = "abstract"
     #: run_batch amortises/vectorises work across seeds.
     supports_batch: bool = True
@@ -132,20 +132,6 @@ class Engine(ABC):
         """Whether :meth:`simulator` can be used on this machine."""
         return self.availability() is None
 
-    def plan_fallback(self) -> Optional[str]:
-        """``None`` when the engine has no compiled-plan tier, else what
-        happens when plan compilation raises
-        :class:`~repro.engine.plan.PlanUnsupported` for a configuration.
-
-        Engines executing a compiled :class:`~repro.engine.plan.TracePlan`
-        override this so callers (and ``python -m repro engines``) can see
-        which configurations leave the fast path and where they land —
-        without building a simulator first.  The concrete per-configuration
-        reason is on the built simulator (``plan_error``) and is logged once
-        per simulator by ``run_batch``.
-        """
-        return None
-
     def describe(self) -> Dict[str, object]:
         """Structured capability summary (used by docs, reports and tests)."""
         return {
@@ -155,7 +141,6 @@ class Engine(ABC):
             "requires_pickle": self.requires_pickle,
             "available": self.available,
             "availability": self.availability(),
-            "plan_fallback": self.plan_fallback(),
         }
 
 

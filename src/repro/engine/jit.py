@@ -35,7 +35,7 @@ Bit-exactness notes (same invariants as the numpy plan path):
 * victim draws replicate ``SplitMix64.next_below`` exactly, including the
   rejection-sampling loop for non-power-of-two associativities;
 * elision never removes a draw, so the per-cache victim streams are
-  consumed in the fast engine's order;
+  consumed in the reference model's order;
 * in-kernel routing replays the exact SplitMix64 draw sequence of
   ``set_index_matrix`` (two draws per hash row, zero-row redraw pairs, the
   two-word RM control draw), so the maps are bit-identical to the
@@ -601,15 +601,15 @@ class _JitSimulator(_VectorSimulator):
     """Plan setup shared with the numpy engine; execution per lane, compiled.
 
     Reuses the vector simulator's seed derivation and plan compilation
-    (``use_plan=True`` raises :class:`~repro.engine.plan.PlanUnsupported`
-    for configs outside the model, like the numpy plan path), then replays
+    (which raises :class:`~repro.engine.plan.PlanUnsupported` for configs
+    outside the model, exactly as for the numpy engine), then replays
     each lane through :func:`_simulate_lane`.  Randomized placements with a
     routing recipe are evaluated *inside* the kernel; the rest are
     materialized through the map cache.
     """
 
     def __init__(self, config, compiled, compile_kernel=True):
-        super().__init__(config, compiled, use_plan=True)
+        super().__init__(config, compiled)
         self._compile_kernel = compile_kernel
         if compile_kernel:
             _ensure_compiled()
@@ -804,15 +804,6 @@ class JitEngine(Engine):
 
     def __init__(self, force_python: bool = False) -> None:
         self.force_python = force_python
-
-    def plan_fallback(self) -> str:
-        from .plan import REPLACEMENT_NAMES
-
-        return (
-            "configs outside the plan model (replacement not in "
-            f"{'/'.join(REPLACEMENT_NAMES)}) raise PlanUnsupported — no "
-            "interpreter tier; use the numpy engine for those"
-        )
 
     def availability(self) -> Optional[str]:
         if self.force_python:

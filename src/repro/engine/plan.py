@@ -232,8 +232,9 @@ def compile_plan(
     table): every slot then uses the singleton rule, which holds for any
     map, and no slot is inert, so no lanes are ever merged as seed-invariant.
 
-    Raises :class:`PlanUnsupported` for configurations outside the model
-    (callers fall back to the per-access interpreter).
+    Raises :class:`PlanUnsupported` for configurations outside the model;
+    :class:`~repro.cache.cache.CacheConfig` admits none, so only a config
+    mutated past its constructor gets here.
     """
     for cache_config in (config.il1, config.dl1, config.l2):
         if cache_config is None:

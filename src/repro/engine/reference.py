@@ -2,7 +2,7 @@
 
 Replays the compiled trace on the inspectable
 :class:`~repro.cache.hierarchy.CacheHierarchy` model.  It is the slowest
-backend by far — its value is that the fast and numpy engines are
+backend by far — its value is that the numpy and jit engines are
 cross-validated against it — so its capability flags advertise that batching
 buys nothing (every run rebuilds the hierarchy anyway).
 """

@@ -1,8 +1,7 @@
 """In-process worker pool: the non-persistent execution tier.
 
-This module is the process-pool tier of :mod:`repro.exec` — the machinery
-that used to live in :mod:`repro.analysis.parallel` (which now delegates
-here).  ``run_campaign(..., jobs=N)`` routes through it: the campaign's
+This module is the process-pool tier of :mod:`repro.exec`.
+``run_campaign(..., jobs=N)`` routes through it: the campaign's
 seed list is partitioned by the shard planner (:func:`~repro.exec.plan
 .plan_shards`), one pool task executes one shard, and results are
 reassembled in seed order, so the returned campaign is **bit-exact** with
@@ -128,7 +127,7 @@ def run_campaign_parallel(
     runs: int,
     master_seed: int = 0,
     setup: str = "",
-    engine: str = "fast",
+    engine: str = "numpy",
     timing: ExecutionTimingModel = ExecutionTimingModel(),
     keep_run_results: bool = False,
     jobs: Optional[int] = None,

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..engine import registered_engines
+
 __all__ = [
     "DEFAULT_LEASE_TTL",
     "Lease",
@@ -137,12 +139,19 @@ class FileQueue:
         return sorted(self.task_root.glob("*.json"))
 
     def read_task(self, path: Path) -> Optional[Dict[str, object]]:
-        """The task payload, or ``None`` for vanished/corrupt files."""
+        """The task payload, or ``None`` for vanished/corrupt files and for
+        tasks naming an engine this process has not registered (a worker
+        skips those; the coordinator's next :meth:`enqueue` overwrites
+        them)."""
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        return payload if isinstance(payload, dict) else None
+        if not isinstance(payload, dict):
+            return None
+        if payload.get("engine") not in registered_engines():
+            return None
+        return payload
 
     def pending(self) -> int:
         return len(self.tasks())

@@ -159,6 +159,7 @@ def parse_job_request(
             raise BadRequest(f"spec #{index} is not a JSON object")
         try:
             scenario = scenario_from_spec(spec)
+            scenario.hierarchy.config()  # unknown policy names fail here
         except (ValueError, KeyError, TypeError) as error:
             raise BadRequest(f"spec #{index} is invalid: {error}") from None
         spec_hash = scenario.spec_hash()

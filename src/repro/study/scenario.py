@@ -15,7 +15,7 @@ from the hash:
 
 * ``engine`` and ``jobs`` — every built-in engine is bit-exact and parallel
   campaigns are reassembled in seed order, so these only trade wall-clock
-  time (see :mod:`repro.engine` and :mod:`repro.analysis.parallel`);
+  time (see :mod:`repro.engine` and :mod:`repro.exec.pool`);
 * ``mbpta`` — the MBPTA protocol is post-processing applied to the stored
   execution times, not part of the measurement;
 * ``label`` — presentation only.
@@ -262,7 +262,7 @@ class Scenario:
     master_seed: int = 20160605
     seed_offset: int = 0
     campaign: str = "seeds"
-    engine: str = "fast"
+    engine: str = "numpy"
     jobs: int = 1
     mbpta: MbptaConfig = field(default_factory=MbptaConfig)
     label: str = ""

@@ -39,6 +39,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             CacheConfig(ways=0)
 
+    def test_rejects_unknown_placement(self):
+        with pytest.raises(ValueError, match="unknown placement policy 'bogus'"):
+            CacheConfig(placement="bogus")
+
+    def test_rejects_unknown_replacement(self):
+        with pytest.raises(ValueError, match="unknown replacement policy 'bogus'"):
+            CacheConfig(replacement="bogus")
+
 
 class TestBasicBehaviour:
     def test_first_access_misses_then_hits(self):

@@ -50,7 +50,7 @@ class TestEngineSelection:
         parser = build_parser()
         args = parser.parse_args(["run", "fig5", "--engine", "numpy"])
         assert args.engine == "numpy"
-        assert set(available_engines()) >= {"fast", "numpy", "reference"}
+        assert set(available_engines()) >= {"numpy", "reference"}
 
     def test_jit_is_a_parser_choice_even_without_numba(self):
         # Registered engines are CLI choices regardless of availability;
@@ -368,7 +368,7 @@ class TestExecStatusFormats:
         # heartbeat ages differ between the two calls, so compare fields).
         [worker] = payload["workers"]
         assert worker["owner"] == "cli-json"
-        assert worker["engine"] == "fast"
+        assert worker["engine"] == "numpy"
         assert worker["engine_availability"] is None
 
     def test_text_format_shows_the_engine_column(self, tmp_path, capsys):
@@ -380,7 +380,7 @@ class TestExecStatusFormats:
         assert main(["exec", "status", "--store", str(store.root)]) == 0
         out = capsys.readouterr().out
         assert "engine" in out
-        assert "fast" in out
+        assert "numpy" in out
 
 
 class TestCleanDryRun:

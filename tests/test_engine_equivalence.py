@@ -1,10 +1,9 @@
 """Cross-engine equivalence: every registered engine must agree bit-exactly.
 
-The fast engine is validated against the reference model in
-``test_fastsim.py``; these tests close the loop over the *registry*: random
-traces and configurations are replayed through **all registered engines**
-(so a future backend is automatically covered the moment it registers) and
-every counter must match, run by run — including through the campaign and
+The ``reference`` model is the oracle.  Random traces and configurations
+are replayed through **all registered engines** (so a future backend is
+automatically covered the moment it registers) and every counter must
+match the reference, run by run — including through the campaign and
 process-pool layers.
 """
 
@@ -62,13 +61,10 @@ def build_config(
     return HierarchyConfig(il1=il1, dl1=dl1, l2=l2, timings=MemoryTimings())
 
 
-#: Execution paths beyond the registry defaults: both numpy paths pinned
-#: explicitly (the registered engine picks one automatically) and the jit
-#: kernel run interpreted — the tier's certification path on machines
-#: without numba (the registry covers the compiled form when numba exists).
+#: Execution paths beyond the registry defaults: the jit kernel run
+#: interpreted — the tier's certification path on machines without numba
+#: (the registry covers the compiled form when numba exists).
 EXTRA_PATHS = {
-    "numpy-plan": lambda: NumpyEngine(use_plan=True),
-    "numpy-interp": lambda: NumpyEngine(use_plan=False),
     "jit-python": lambda: JitEngine(force_python=True),
 }
 
@@ -76,28 +72,20 @@ EXTRA_PATHS = {
 def run_all_engines(config, trace, seeds):
     """Map engine name -> list of per-seed result dicts, via the registry.
 
-    Registry engines model different configuration subsets (the fast engine
-    is random/lru replacement and a write-back L2 only), so an engine
-    rejecting the config with its own ValueError is skipped; the reference
-    model covers everything, so at least two paths always remain and
-    ``assert_all_equal`` still has a cross-check.
+    Every engine models every constructible configuration, so none may opt
+    out; the reference model is always among them.
     """
     compiled = CompiledTrace(trace, line_size=config.il1.line_size)
     results = {}
     for name in available_engines():
-        try:
-            simulator = get_engine(name).simulator(config, compiled)
-            results[name] = [
-                result.as_dict() for result in simulator.run_batch(seeds)
-            ]
-        except ValueError:
-            continue
-    assert "reference" in results  # the ground truth never opts out
+        simulator = get_engine(name).simulator(config, compiled)
+        results[name] = [result.as_dict() for result in simulator.run_batch(seeds)]
+    assert "reference" in results
     return results
 
 
 def run_all_paths(config, trace, seeds):
-    """Registry engines plus the plan / interpreter / jit-kernel paths."""
+    """Registry engines plus the interpreted jit-kernel path."""
     results = run_all_engines(config, trace, seeds)
     compiled = CompiledTrace(trace, line_size=config.il1.line_size)
     for name, make_engine in EXTRA_PATHS.items():
@@ -202,11 +190,7 @@ class TestAllRegisteredEnginesAgree:
             l2_replacement=replacement,
             with_l2=with_l2,
         )
-        results = run_all_paths(config, small_kernel_trace, list(range(6)))
-        # The pinned plan path really compiled a plan (no silent interpreter
-        # fallback hiding a coverage regression).
-        assert "numpy-plan" in results
-        assert_all_equal(results)
+        assert_all_equal(run_all_paths(config, small_kernel_trace, list(range(6))))
 
     @pytest.mark.parametrize("l2_replacement", ["random", "lru", "fifo", "plru"])
     def test_write_through_l2_compiled_plans(
@@ -233,7 +217,7 @@ class TestAllRegisteredEnginesAgree:
 
 class TestPlanPathEdgeCases:
     """Degenerate shapes where the plan compiler's derived structure could
-    go wrong: every path (fast, plan, interpreter, jit kernel) must agree."""
+    go wrong: every path (numpy plan, jit kernel, reference) must agree."""
 
     def _single_set_config(self, ways, placement, replacement, write):
         l1_size = ways * 32  # exactly one set
@@ -260,7 +244,7 @@ class TestPlanPathEdgeCases:
     @pytest.mark.parametrize("write", ["write-through", "write-back"])
     def test_direct_mapped_caches(self, small_kernel_trace, write):
         """ways == 1: the victim is forced, but draws must still be consumed
-        in the fast engine's order for randomized replacement."""
+        in the reference model's order for randomized replacement."""
         for placement in ("modulo", "hrp"):
             config = build_config(
                 l1_placement=placement, l1_write=write, ways=1, with_l2=True
@@ -304,8 +288,9 @@ class TestCampaignLevelEquivalence:
         self, jobs, small_kernel_trace, tiny_hierarchy_config
     ):
         """engine='numpy' composes with jobs>1: vectorized chunks per worker."""
-        serial_fast = run_campaign(
-            small_kernel_trace, tiny_hierarchy_config, runs=13, master_seed=3
+        serial_reference = run_campaign(
+            small_kernel_trace, tiny_hierarchy_config, runs=13, master_seed=3,
+            engine="reference",
         )
         parallel_numpy = run_campaign(
             small_kernel_trace,
@@ -315,7 +300,7 @@ class TestCampaignLevelEquivalence:
             engine="numpy",
             jobs=jobs,
         )
-        assert parallel_numpy.execution_times == serial_fast.execution_times
+        assert parallel_numpy.execution_times == serial_reference.execution_times
 
     def test_numpy_batch_chunking_is_invisible(self, small_kernel_trace, tiny_hierarchy_config):
         """Internal lane chunking must not change results."""
@@ -379,15 +364,9 @@ class TestLayoutLanes:
         engines = {name: get_engine(name) for name in available_engines()}
         engines.update({name: make() for name, make in EXTRA_PATHS.items()})
         engines["numpy-chunked"] = NumpyEngine(max_lanes=5)
-        checked = []
         for engine_name, engine in sorted(engines.items()):
-            try:
-                results = engine.run_layouts(config, template, line_table)
-            except ValueError:
-                continue  # the fast engine models random/lru replacement only
+            results = engine.run_layouts(config, template, line_table)
             assert [result.as_dict() for result in results] == expected, engine_name
-            checked.append(engine_name)
-        assert {"numpy", "numpy-plan", "numpy-chunked", "reference"} <= set(checked)
 
     def test_lanes_under_process_pool(self):
         config = platform_setup("modulo", SMALL_LEON3)

@@ -1,7 +1,7 @@
 """Unit tests of the trace plan compiler (repro.engine.plan).
 
-The cross-engine suite certifies that plan execution matches the fast
-engine bit-exactly; these tests pin the compiler's *derived structure*
+The cross-engine suite certifies that plan execution matches the
+reference model bit-exactly; these tests pin the compiler's *derived structure*
 directly — which accesses are elided and under which rule, where dirty
 bits fold, when guarantees are dropped, and when a whole hierarchy is
 proven seed-invariant — so a regression shows up as a readable structural

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.cache.fastsim import CompiledTrace, FastHierarchySimulator
+from repro.cache.fastsim import CompiledTrace
 from repro.engine import (
     Engine,
-    FastEngine,
     JitEngine,
+    NumpyEngine,
     JitUnavailable,
     ReferenceEngine,
     available_engines,
@@ -17,12 +17,13 @@ from repro.engine import (
     unregister_engine,
 )
 from repro.engine.jit import numba_missing_reason
+from repro.engine.plan import TracePlan
 
 
 class TestRegistryLookup:
     def test_builtin_engines_registered(self):
+        assert registered_engines() == ("jit", "numpy", "reference")
         names = available_engines()
-        assert "fast" in names
         assert "reference" in names
         assert "numpy" in names  # numpy is a declared dependency
 
@@ -30,7 +31,7 @@ class TestRegistryLookup:
         assert list(available_engines()) == sorted(available_engines())
 
     def test_get_engine_returns_named_engine(self):
-        assert get_engine("fast").name == "fast"
+        assert get_engine("numpy").name == "numpy"
         assert isinstance(get_engine("reference"), ReferenceEngine)
 
     def test_unknown_engine_error_lists_registered_names(self):
@@ -101,8 +102,6 @@ class TestRegistration:
 
 class TestCapabilities:
     def test_capability_flags(self):
-        fast = get_engine("fast")
-        assert fast.supports_batch and fast.bit_exact and fast.requires_pickle
         reference = get_engine("reference")
         assert not reference.supports_batch
         assert reference.bit_exact and reference.requires_pickle
@@ -123,7 +122,7 @@ class TestCapabilities:
             assert capabilities["available"] == (availability is None)
 
     def test_always_available_engines_report_no_reason(self):
-        for name in ("fast", "reference", "numpy"):
+        for name in ("reference", "numpy"):
             engine = get_engine(name)
             assert engine.availability() is None
             assert engine.available
@@ -158,12 +157,12 @@ class TestJitAvailability:
 
 
 class TestSimulatorConstruction:
-    def test_fast_engine_builds_fast_simulator(self, small_kernel_trace, tiny_hierarchy_config):
+    def test_numpy_engine_builds_plan_simulator(self, small_kernel_trace, tiny_hierarchy_config):
         compiled = CompiledTrace(
             small_kernel_trace, line_size=tiny_hierarchy_config.il1.line_size
         )
-        simulator = FastEngine().simulator(tiny_hierarchy_config, compiled)
-        assert isinstance(simulator, FastHierarchySimulator)
+        simulator = NumpyEngine().simulator(tiny_hierarchy_config, compiled)
+        assert isinstance(simulator.plan, TracePlan)
         assert simulator.run(3).cycles > 0
 
     def test_reference_engine_rejects_mixed_line_sizes(self, small_kernel_trace):

@@ -49,7 +49,7 @@ from repro.study.scenario import (
 from repro.study.store import ResultStore
 
 
-def _scenario(runs: int = 12, master_seed: int = 77, engine: str = "fast") -> Scenario:
+def _scenario(runs: int = 12, master_seed: int = 77, engine: str = "numpy") -> Scenario:
     """A small, fast synthetic-kernel scenario for pipeline tests."""
     return Scenario(
         workload=WorkloadSpec.synthetic(4 * 1024, 2),
@@ -146,6 +146,7 @@ def _task(spec_hash: str = "deadbeef", start: int = 0, count: int = 4) -> dict:
         "key": shard_key(start, count),
         "start": start,
         "count": count,
+        "engine": "numpy",
     }
 
 
@@ -572,6 +573,28 @@ class TestCrashResume:
         # TTL wait) and the reassembled campaign is bit-exact with serial.
         stats = run_worker(queue.root, store.root, lease_ttl=3600.0)
         assert stats.shards_done == len(shards)
+        campaign, _ = reassemble_campaign(scenario, shards, store)
+        assert campaign.execution_times == _serial_times(scenario)
+
+    def test_task_naming_unregistered_engine_is_skipped(self, tmp_path):
+        # A task for an engine this process does not register (e.g. one
+        # enqueued by an older build) is skipped like a corrupt file: the
+        # worker publishes the valid shard and returns instead of raising,
+        # and the coordinator's re-enqueue replaces the stale task.
+        scenario = _scenario()
+        store = ResultStore(tmp_path / "store")
+        queue = FileQueue(store.queue_root)
+        shards = plan_shards(scenario.spec_hash(), scenario.runs, 6)
+        queue.enqueue(shard_task(scenario, shards[0], "fast"))
+        queue.enqueue(shard_task(scenario, shards[1], scenario.engine))
+
+        stats = run_worker(queue.root, store.root)
+        assert stats.shards_done == 1
+        assert store.shard_keys(scenario.spec_hash()) == [(scenario.spec_hash(), shards[1].key)]
+        assert queue.pending() == 1
+
+        queue.enqueue(shard_task(scenario, shards[0], scenario.engine))
+        assert run_worker(queue.root, store.root).shards_done == 1
         campaign, _ = reassemble_campaign(scenario, shards, store)
         assert campaign.execution_times == _serial_times(scenario)
 

@@ -1,14 +1,15 @@
-"""Cross-validation of the fast campaign engine against the reference model."""
+"""Compiled traces, and the default engine checked against the reference model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import CacheConfig
-from repro.cache.fastsim import CompiledTrace, FastHierarchySimulator, simulate_trace
+from repro.cache.fastsim import CompiledTrace
 from repro.cache.hierarchy import HierarchyConfig, MemoryTimings
 from repro.cpu.core import TraceDrivenCore
 from repro.cpu.trace import AccessKind, Trace
+from repro.engine import get_engine
 from repro.platform.leon3 import platform_setup
 from repro.workloads.eembc import eembc_trace
 
@@ -33,11 +34,9 @@ def tiny_config(l1_placement="rm", l1_replacement="random", l1_write="write-thro
     return HierarchyConfig(il1=il1, dl1=dl1, l2=l2, timings=MemoryTimings())
 
 
-def random_trace(draw_addresses, kinds):
-    trace = Trace(name="hypothesis")
-    for kind, address in zip(kinds, draw_addresses):
-        trace.append(kind, address)
-    return trace
+def default_simulator(config, trace):
+    """A simulator of the engine every campaign uses unless told otherwise."""
+    return get_engine("numpy").simulator(config, CompiledTrace(trace))
 
 
 class TestCompiledTrace:
@@ -61,7 +60,7 @@ class TestCompiledTrace:
 
 
 class TestAgainstReference:
-    """The fast engine must match the reference model bit-exactly."""
+    """The default engine must match the reference model bit-exactly."""
 
     @pytest.mark.parametrize("placement", ["modulo", "xor", "hrp", "rm"])
     @pytest.mark.parametrize("replacement", ["random", "lru"])
@@ -69,23 +68,23 @@ class TestAgainstReference:
         config = tiny_config(l1_placement=placement, l1_replacement=replacement)
         core = TraceDrivenCore(config, small_kernel_trace)
         for seed in (0, 1, 12345):
-            assert core.run_fast(seed).as_dict() == core.run_reference(seed).as_dict()
+            assert core.run(seed).as_dict() == core.run_reference(seed).as_dict()
 
     def test_write_back_l1_matches(self, small_kernel_trace):
         config = tiny_config(l1_write="write-back")
         core = TraceDrivenCore(config, small_kernel_trace)
         for seed in (3, 17):
-            assert core.run_fast(seed).as_dict() == core.run_reference(seed).as_dict()
+            assert core.run(seed).as_dict() == core.run_reference(seed).as_dict()
 
     def test_no_l2_matches(self, small_kernel_trace):
         config = tiny_config(with_l2=False)
         core = TraceDrivenCore(config, small_kernel_trace)
-        assert core.run_fast(7).as_dict() == core.run_reference(7).as_dict()
+        assert core.run(7).as_dict() == core.run_reference(7).as_dict()
 
     def test_leon3_config_matches_on_eembc(self):
         trace = eembc_trace("rspeed")
         core = TraceDrivenCore(platform_setup("rm"), trace)
-        assert core.run_fast(11).as_dict() == core.run_reference(11).as_dict()
+        assert core.run(11).as_dict() == core.run_reference(11).as_dict()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -105,18 +104,18 @@ class TestAgainstReference:
             trace.append(kind, 0x40000000 + line * 32)
         config = tiny_config()
         core = TraceDrivenCore(config, trace)
-        assert core.run_fast(seed).as_dict() == core.run_reference(seed).as_dict()
+        assert core.run(seed).as_dict() == core.run_reference(seed).as_dict()
 
 
 class TestFastEngineBehaviour:
+    """Campaign-level behaviour of the default engine."""
+
     def test_same_seed_is_deterministic(self, small_kernel_trace):
-        config = tiny_config()
-        simulator = FastHierarchySimulator(config, CompiledTrace(small_kernel_trace))
+        simulator = default_simulator(tiny_config(), small_kernel_trace)
         assert simulator.run(42) == simulator.run(42)
 
     def test_different_seeds_change_results_for_random_placement(self, small_kernel_trace):
-        config = tiny_config()
-        simulator = FastHierarchySimulator(config, CompiledTrace(small_kernel_trace))
+        simulator = default_simulator(tiny_config(), small_kernel_trace)
         cycles = {simulator.run(seed).cycles for seed in range(25)}
         assert len(cycles) > 1
 
@@ -132,21 +131,15 @@ class TestFastEngineBehaviour:
             ),
             timings=config.timings,
         )
-        simulator = FastHierarchySimulator(config, CompiledTrace(small_kernel_trace))
+        simulator = default_simulator(config, small_kernel_trace)
         assert len({simulator.run(seed).cycles for seed in range(10)}) == 1
 
-    def test_unsupported_replacement_rejected(self, small_kernel_trace):
-        config = tiny_config(l1_replacement="plru")
-        with pytest.raises(ValueError):
-            FastHierarchySimulator(config, CompiledTrace(small_kernel_trace)).run(0)
-
-    def test_simulate_trace_wrapper(self, small_kernel_trace):
-        result = simulate_trace(small_kernel_trace, tiny_config(), seed=5)
-        assert result.cycles > 0
-        assert result.il1_accesses + result.dl1_accesses == len(small_kernel_trace)
+    def test_unsupported_replacement_rejected(self):
+        with pytest.raises(ValueError, match="unknown replacement policy 'clock'"):
+            tiny_config(l1_replacement="clock")
 
     def test_miss_rates_are_rates(self, small_kernel_trace):
-        result = simulate_trace(small_kernel_trace, tiny_config(), seed=5)
+        result = default_simulator(tiny_config(), small_kernel_trace).run(5)
         assert 0.0 <= result.il1_miss_rate <= 1.0
         assert 0.0 <= result.dl1_miss_rate <= 1.0
         assert 0.0 <= result.l2_miss_rate <= 1.0
@@ -160,10 +153,9 @@ class TestBatchApi:
         config = tiny_config(l1_placement=placement)
         compiled = CompiledTrace(small_kernel_trace)
         seeds = [0, 1, 7, 12345]
-        batch = FastHierarchySimulator(config, compiled).run_batch(seeds)
-        individual = [
-            FastHierarchySimulator(config, compiled).run(seed) for seed in seeds
-        ]
+        engine = get_engine("numpy")
+        batch = engine.simulator(config, compiled).run_batch(seeds)
+        individual = [engine.simulator(config, compiled).run(seed) for seed in seeds]
         assert batch == individual
 
     def test_batch_matches_reference_engine(self, small_kernel_trace):
@@ -178,12 +170,3 @@ class TestBatchApi:
         core = TraceDrivenCore(tiny_config(), small_kernel_trace)
         with pytest.raises(ValueError, match="unknown engine"):
             core.run_batch([1], engine="warp")
-
-    def test_simulate_trace_batch_wrapper(self, small_kernel_trace):
-        from repro.cache.fastsim import simulate_trace_batch
-
-        results = simulate_trace_batch(small_kernel_trace, tiny_config(), seeds=[4, 9])
-        assert results == [
-            simulate_trace(small_kernel_trace, tiny_config(), seed=4),
-            simulate_trace(small_kernel_trace, tiny_config(), seed=9),
-        ]

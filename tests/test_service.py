@@ -288,6 +288,16 @@ class TestJobLifecycle:
         assert excinfo.value.status == 400
         assert "version" in excinfo.value.message
 
+    @pytest.mark.parametrize("field", ["l1_placement", "l1_replacement"])
+    def test_unknown_policy_name_is_a_400(self, tmp_path, start_server, field):
+        _, client = start_server(ResultStore(tmp_path / "store"))
+        spec = _spec(replace(_scenario(), hierarchy=HierarchySpec.custom()))
+        spec["hierarchy"][field] = "bogus"
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"spec": spec})
+        assert excinfo.value.status == 400
+        assert "bogus" in excinfo.value.message
+
     def test_unknown_job_and_route_are_404(self, tmp_path, start_server):
         _, client = start_server(ResultStore(tmp_path / "store"))
         with pytest.raises(ServiceError) as excinfo:
@@ -308,8 +318,8 @@ class TestJobLifecycle:
     ):
         _, client = start_server(ResultStore(tmp_path / "store"))
         engines = client.engines()
-        assert "fast" in engines and "numpy" in engines
-        assert "available" in engines["fast"]
+        assert "numpy" in engines and "reference" in engines
+        assert "available" in engines["numpy"]
         estimators = client.estimators()
         assert "gumbel-pwm" in estimators
 
@@ -557,7 +567,7 @@ class TestStatusAndGc:
         # The in-process queue drain left heartbeat telemetry with the
         # engine recorded (satellite: engine name + availability).
         workers = status["exec"]["workers"]
-        assert workers and all(w["engine"] == "fast" for w in workers)
+        assert workers and all(w["engine"] == "numpy" for w in workers)
         assert all(w["engine_availability"] is None for w in workers)
 
     def test_worker_heartbeats_surface_engine_over_http(
@@ -568,7 +578,7 @@ class TestStatusAndGc:
         submitted = client.submit({"spec": _spec(_scenario(runs=8))})
         client.wait(submitted["job_id"], timeout=60)
         beats = read_heartbeats(FileQueue(store.queue_root))
-        assert beats and beats[0].engine == "fast"
+        assert beats and beats[0].engine == "numpy"
 
     def test_gc_endpoint_plans_then_sweeps(self, tmp_path, start_server):
         store = ResultStore(tmp_path / "store")
