@@ -5,129 +5,52 @@ cost left in a batched campaign is building the ``(n_lines, n_seeds)``
 set-index matrix of each randomized placement policy — dominated by the
 Random Modulo switch-network routing.  The map is a pure function of the
 placement policy (name + geometry + network), the line addresses, and the
-seed block, so it is memoized here at two levels:
+seed block, so it is memoized in a bounded in-memory LRU, keyed by a
+SHA-256 digest of those inputs.  Repeated batches over the same trace —
+sweeps varying only replacement/latency parameters, the service's warm
+jobs, the equivalence tests — skip the build entirely.
 
-* an in-memory LRU (bounded, per process) that makes repeated batches over
-  the same trace — sweeps varying only replacement/latency parameters, the
-  service's warm jobs, the equivalence tests — skip the build entirely;
-* an optional on-disk cache of bit-packed maps, living beside the result
-  store (see :meth:`repro.study.store.ResultStore.map_root`), so resumed
-  shards and overlapping campaigns never rebuild a map another process
-  already built.
-
-Disk entries are content-addressed by a SHA-256 digest of the inputs and
-store ``index_bits`` bits per map entry (``np.packbits``), an 8--16x size
-reduction over int64 matrices.  Writes are atomic (temp file +
-``os.replace``), so concurrent writers race benignly: both write identical
-bytes and the last rename wins.  Reads self-heal: a truncated or corrupt
-entry (checksum mismatch, bad header) counts as a miss, and the rebuilt map
-is rewritten over it.
-
-Environment overrides: ``REPRO_MAP_CACHE=0`` disables the cache entirely;
-``REPRO_MAP_CACHE_DIR`` pins the disk directory (and wins over the result
-store's default).
+The cache is per process and never touches disk: a build costs a few
+milliseconds, about what reading a stored map back would, and a miss can
+never produce a wrong answer.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
+import threading
 from collections import OrderedDict
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Sequence
 
 import numpy as np
 
 __all__ = [
     "cached_set_index_matrix",
-    "configure_map_cache",
-    "adopt_map_directory",
     "map_cache_stats",
     "reset_map_cache",
     "map_digest",
 ]
 
-_MAGIC = b"RMAP1\x00"
-_DEFAULT_MEMORY_ENTRIES = 32
+#: How many maps the in-memory LRU holds (a constant, not an option).
+_MEMORY_ENTRIES = 32
 
 _memory: "OrderedDict[str, np.ndarray]" = OrderedDict()
-_memory_entries = _DEFAULT_MEMORY_ENTRIES
-_disk_dir: Optional[Path] = None
-_dir_pinned = False  # env var or explicit configure wins over adopt_*
-_enabled = True
-_stats: Dict[str, int] = {}
-
-
-def _reset_stats() -> None:
-    _stats.update(
-        memory_hits=0, disk_hits=0, misses=0, disk_writes=0, corrupt=0
-    )
-
-
-_reset_stats()
-
-
-def _read_env() -> None:
-    global _enabled, _disk_dir, _dir_pinned
-    flag = os.environ.get("REPRO_MAP_CACHE", "").strip().lower()
-    if flag in {"0", "off", "false", "no"}:
-        _enabled = False
-    directory = os.environ.get("REPRO_MAP_CACHE_DIR")
-    if directory:
-        _disk_dir = Path(directory)
-        _dir_pinned = True
-
-
-_read_env()
-
-
-_UNSET = object()
-
-
-def configure_map_cache(
-    directory: Union[str, Path, None, object] = _UNSET,
-    memory_entries: Optional[int] = None,
-    enabled: Optional[bool] = None,
-) -> None:
-    """Explicitly configure the cache (wins over store-adopted defaults).
-
-    ``directory=None`` disables the disk tier; omitting it leaves the disk
-    tier unchanged.  ``memory_entries`` bounds the in-memory LRU.
-    """
-    global _disk_dir, _dir_pinned, _memory_entries, _enabled
-    if directory is not _UNSET:
-        _disk_dir = Path(directory) if directory is not None else None
-        _dir_pinned = True
-    if memory_entries is not None:
-        _memory_entries = max(int(memory_entries), 0)
-        while len(_memory) > _memory_entries:
-            _memory.popitem(last=False)
-    if enabled is not None:
-        _enabled = bool(enabled)
-
-
-def adopt_map_directory(directory: Union[str, Path]) -> None:
-    """Adopt a default disk directory (no-op if one was pinned explicitly).
-
-    Called by :class:`repro.study.store.ResultStore` so campaign runs cache
-    maps beside their results without any configuration.
-    """
-    global _disk_dir
-    if not _dir_pinned:
-        _disk_dir = Path(directory)
+_stats: Dict[str, int] = {"memory_hits": 0, "misses": 0}
+# The server runs jobs on worker threads: a lookup's ``move_to_end`` must not
+# race another thread's eviction of the same key, nor a counter lose updates.
+_lock = threading.Lock()
 
 
 def map_cache_stats() -> Dict[str, int]:
-    """Counters since the last reset (memory/disk hits, misses, writes)."""
+    """Counters since the last reset (memory hits and misses)."""
     return dict(_stats)
 
 
-def reset_map_cache(stats: bool = True) -> None:
-    """Drop every in-memory entry (and, by default, zero the counters)."""
-    _memory.clear()
-    if stats:
-        _reset_stats()
+def reset_map_cache() -> None:
+    """Drop every memoized map and zero the counters."""
+    with _lock:
+        _memory.clear()
+        _stats.update(memory_hits=0, misses=0)
 
 
 # ----------------------------------------------------------------- digesting
@@ -169,108 +92,7 @@ def _map_dtype(index_bits: int):
     return np.int64
 
 
-# --------------------------------------------------------------- bit packing
-
-
-def _pack_map(matrix: np.ndarray, index_bits: int) -> np.ndarray:
-    """Pack a set-index matrix to ``index_bits`` bits per entry."""
-    flat = matrix.astype(np.uint32, copy=False).ravel()
-    shifts = np.arange(index_bits, dtype=np.uint32)
-    bits = ((flat[:, None] >> shifts[None, :]) & np.uint32(1)).astype(np.uint8)
-    return np.packbits(bits.ravel())
-
-
-def _unpack_map(payload: bytes, rows: int, cols: int, index_bits: int) -> np.ndarray:
-    total = rows * cols * index_bits
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=total)
-    bits = bits.reshape(rows * cols, index_bits).astype(np.uint32)
-    shifts = np.arange(index_bits, dtype=np.uint32)
-    flat = (bits << shifts[None, :]).sum(axis=1, dtype=np.uint32)
-    return flat.astype(_map_dtype(index_bits)).reshape(rows, cols)
-
-
-# ----------------------------------------------------------------- disk tier
-
-
-def _disk_path(digest: str) -> Optional[Path]:
-    if _disk_dir is None:
-        return None
-    return _disk_dir / f"{digest}.map"
-
-
-def _disk_load(digest: str, rows: int, cols: int, index_bits: int) -> Optional[np.ndarray]:
-    path = _disk_path(digest)
-    if path is None:
-        return None
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        return None  # plain miss, not corruption
-    try:
-        if not blob.startswith(_MAGIC):
-            raise ValueError("bad magic")
-        offset = len(_MAGIC)
-        header_len = int.from_bytes(blob[offset : offset + 4], "big")
-        offset += 4
-        header = json.loads(blob[offset : offset + header_len].decode())
-        offset += header_len
-        payload = blob[offset:]
-        if (
-            int(header["rows"]) != rows
-            or int(header["cols"]) != cols
-            or int(header["index_bits"]) != index_bits
-        ):
-            raise ValueError("geometry mismatch")
-        if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-            raise ValueError("payload checksum mismatch")
-        return _unpack_map(payload, rows, cols, index_bits)
-    except (ValueError, KeyError, TypeError):
-        # Corrupt entry: treat as a miss; the rebuild below rewrites it.
-        _stats["corrupt"] += 1
-        return None
-
-
-def _disk_store(digest: str, matrix: np.ndarray, index_bits: int) -> None:
-    path = _disk_path(digest)
-    if path is None:
-        return
-    payload = _pack_map(matrix, index_bits).tobytes()
-    header = json.dumps(
-        {
-            "rows": int(matrix.shape[0]),
-            "cols": int(matrix.shape[1]),
-            "index_bits": int(index_bits),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        },
-        sort_keys=True,
-    ).encode()
-    blob = _MAGIC + len(header).to_bytes(4, "big") + header + payload
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        temporary.write_bytes(blob)
-        os.replace(temporary, path)
-        _stats["disk_writes"] += 1
-    except OSError:
-        # A read-only or full disk never fails the simulation.
-        return
-
-
 # ------------------------------------------------------------------ frontend
-
-
-def _freeze(matrix: np.ndarray) -> np.ndarray:
-    matrix.flags.writeable = False
-    return matrix
-
-
-def _remember(digest: str, matrix: np.ndarray) -> None:
-    if _memory_entries <= 0:
-        return
-    _memory[digest] = matrix
-    _memory.move_to_end(digest)
-    while len(_memory) > _memory_entries:
-        _memory.popitem(last=False)
 
 
 def cached_set_index_matrix(
@@ -283,29 +105,19 @@ def cached_set_index_matrix(
     shared between callers and therefore read-only — copy before mutating.
     """
     lines = np.asarray(lines, dtype=np.uint64)
-    index_bits = policy.geometry.index_bits
-    if not _enabled:
-        matrix = policy.set_index_matrix(lines, list(seeds))
-        return np.ascontiguousarray(matrix, dtype=_map_dtype(index_bits))
     digest = map_digest(policy, lines, seeds)
-    cached = _memory.get(digest)
-    if cached is not None:
-        _memory.move_to_end(digest)
-        _stats["memory_hits"] += 1
-        return cached
-    rows, cols = len(lines), len(seeds)
-    if index_bits:
-        matrix = _disk_load(digest, rows, cols, index_bits)
-        if matrix is not None:
-            _stats["disk_hits"] += 1
-            matrix = _freeze(matrix)
-            _remember(digest, matrix)
-            return matrix
-    _stats["misses"] += 1
+    with _lock:
+        cached = _memory.get(digest)
+        if cached is not None:
+            _memory.move_to_end(digest)
+            _stats["memory_hits"] += 1
+            return cached
+        _stats["misses"] += 1
     matrix = policy.set_index_matrix(lines, list(seeds))
-    matrix = np.ascontiguousarray(matrix, dtype=_map_dtype(index_bits))
-    if index_bits:
-        _disk_store(digest, matrix, index_bits)
-    matrix = _freeze(matrix)
-    _remember(digest, matrix)
+    matrix = np.ascontiguousarray(matrix, dtype=_map_dtype(policy.geometry.index_bits))
+    matrix.flags.writeable = False
+    with _lock:
+        _memory[digest] = matrix
+        while len(_memory) > _MEMORY_ENTRIES:
+            _memory.popitem(last=False)
     return matrix

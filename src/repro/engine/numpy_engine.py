@@ -21,9 +21,8 @@ under deterministic placement.
 Placement maps are evaluated per (seed, cache) with the vectorized policy
 hooks (:meth:`repro.core.placement.PlacementPolicy.set_index_array`), only
 over the rows each slot can actually index, and memoized by content hash
-(:mod:`repro.engine.mapcache`) so repeated batches, resumed shards, and
-overlapping sweeps never rebuild a map twice; deterministic policies share
-one seed-invariant map.  Seed derivation (hierarchy -> cache -> policy
+(:mod:`repro.engine.mapcache`) so repeated batches in one process never
+rebuild a map twice; deterministic policies share one seed-invariant map.  Seed derivation (hierarchy -> cache -> policy
 seeds) runs the same SplitMix64 chain as
 :func:`repro.cache.hierarchy.derive_cache_seeds` /
 :func:`repro.cache.cache.derive_policy_seeds`, vectorized, so the engine is

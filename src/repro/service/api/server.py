@@ -51,6 +51,10 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: SSE keepalive comment interval while a stream is idle.
 SSE_KEEPALIVE = 15.0
 
+#: Seconds a client gets to send one request's head and body; a slower
+#: client is answered 408 and its connection closed.
+REQUEST_READ_TIMEOUT = 30.0
+
 
 class _HttpError(Exception):
     """An error with a definite HTTP answer."""
@@ -67,6 +71,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -180,7 +185,14 @@ class ReproServer:
     ) -> None:
         try:
             try:
-                method, path, body = await self._read_request(reader)
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), REQUEST_READ_TIMEOUT
+                )
+            except asyncio.TimeoutError:
+                await self._write_json(
+                    writer, 408, {"error": "request not received in time"}
+                )
+                return
             except _HttpError as error:
                 await self._write_json(
                     writer, error.status, {"error": error.message}
@@ -216,10 +228,16 @@ class ReproServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HttpError(400, f"malformed Content-Length: {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            raise _HttpError(400, "truncated request body") from None
         path = target.split("?", 1)[0]
         return method.upper(), path, body
 

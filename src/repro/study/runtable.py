@@ -349,12 +349,10 @@ def _save_cache(store: ResultStore, specs: Dict[str, Dict[str, object]]) -> None
 
 
 def _entry_mtime(store: ResultStore, spec_hash: str) -> Optional[float]:
-    for path in (store.path_for(spec_hash), store.legacy_path_for(spec_hash)):
-        try:
-            return path.stat().st_mtime
-        except OSError:
-            continue
-    return None
+    try:
+        return store.path_for(spec_hash).stat().st_mtime
+    except OSError:
+        return None
 
 
 def build_run_table(store: ResultStore, refresh: bool = False) -> RunTable:

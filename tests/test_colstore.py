@@ -2,11 +2,11 @@
 
 The codec itself is a pure function pinned by round-trip tests; what these
 tests certify is the *storage contract*: columnar entries round-trip
-bit-exact with the JSON era, JSON-era entries stay readable (no migration
-flags) and upgrade in place on first touch, corrupt or truncated payloads
-read as misses and self-heal on the next save (mirroring the mapcache
-corruption suite), the manifest stays a disposable index over the entry
-files, and ``clear`` leaves no orphaned files behind.
+bit-exact with the JSON era, JSON-era files an older version left are plain
+misses that re-simulate to the identical entry, corrupt or truncated
+payloads read as misses and self-heal on the next save, the manifest stays
+a disposable index over the entry files, and ``clear`` leaves no orphaned
+files behind.
 """
 
 import json
@@ -25,6 +25,7 @@ from repro.study.columnar import (
     unpack_entry,
 )
 from repro.analysis.campaign import CampaignResult
+from repro.study.runner import execute_scenarios
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -150,7 +151,7 @@ class TestCodec:
 
 
 # ---------------------------------------------------------------------------
-# Store: columnar entries + the legacy JSON tier
+# Store: columnar entries; JSON-era files are misses
 # ---------------------------------------------------------------------------
 
 
@@ -167,34 +168,29 @@ class TestStoreEntries:
         assert stored.miss_summary == MISS_SUMMARY
         assert stored.spec == scenario.spec_dict()
 
-    def test_legacy_json_entry_loads_without_migration_flags(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+    def test_parent_era_files_are_misses(self, tmp_path):
+        """A store an older version wrote JSON entries, JSON shards and
+        cached maps into: nothing lists or loads them, and executing the
+        scenario re-simulates to the entry a fresh store gets."""
         scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
-        store.root.mkdir(parents=True)
-        legacy = store.legacy_path_for(scenario.spec_hash())
-        legacy.write_text(json.dumps(legacy_entry_payload(scenario, campaign)))
-
-        stored = store.load(scenario.spec_hash())
-        assert stored is not None
-        assert stored.execution_times == campaign.execution_times
-        assert stored.miss_summary == MISS_SUMMARY
-
-    def test_legacy_entry_upgrades_in_place_on_first_touch(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
-        store.root.mkdir(parents=True)
         spec_hash = scenario.spec_hash()
-        store.legacy_path_for(spec_hash).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign))
-        )
+        store = ResultStore(tmp_path / "old")
+        _write_old_version_files(store, scenario)
 
-        first = store.load(spec_hash)
-        assert store.path_for(spec_hash).is_file()  # rewritten columnar
-        assert not store.legacy_path_for(spec_hash).exists()  # JSON dropped
-        second = store.load(spec_hash)  # served from the columnar tier now
-        assert second.execution_times == first.execution_times == campaign.execution_times
+        assert store.keys() == []
+        assert store.shard_keys() == []
+        assert store.load(spec_hash) is None
+        assert store.load_columns(spec_hash) is None
+        assert store.load_shard(spec_hash, "0-2") is None
+
+        result = execute_scenarios([scenario], store=store)
+        assert result.report.simulated == 1 and result.report.cache_hits == 0
+        fresh = ResultStore(tmp_path / "fresh")
+        execute_scenarios([scenario], store=fresh)
+        assert (
+            store.path_for(spec_hash).read_bytes()
+            == fresh.path_for(spec_hash).read_bytes()
+        )
 
     def test_legacy_version_mismatch_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -202,7 +198,7 @@ class TestStoreEntries:
         store.root.mkdir(parents=True)
         payload = legacy_entry_payload(scenario, campaign_for(scenario))
         payload["version"] = 999
-        store.legacy_path_for(scenario.spec_hash()).write_text(json.dumps(payload))
+        (store.root / f"{scenario.spec_hash()}.json").write_text(json.dumps(payload))
         assert store.load(scenario.spec_hash()) is None
 
     def test_corrupt_columnar_entry_is_a_miss_and_self_heals(self, tmp_path):
@@ -218,34 +214,6 @@ class TestStoreEntries:
         store.save(scenario, campaign, MISS_SUMMARY)  # the next save heals it
         assert store.load(spec_hash).execution_times == campaign.execution_times
 
-    def test_truncated_columnar_entry_falls_back_to_legacy_tier(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
-        spec_hash = scenario.spec_hash()
-        store.save(scenario, campaign, MISS_SUMMARY)
-        # Truncate the columnar file mid-payload; keep a valid legacy entry.
-        frame = store.path_for(spec_hash).read_bytes()
-        store.path_for(spec_hash).write_bytes(frame[: len(frame) // 2])
-        store.legacy_path_for(spec_hash).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign))
-        )
-        stored = store.load(spec_hash)
-        assert stored.execution_times == campaign.execution_times
-
-    def test_save_drops_the_superseded_legacy_file(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
-        store.root.mkdir(parents=True)
-        spec_hash = scenario.spec_hash()
-        store.legacy_path_for(spec_hash).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign))
-        )
-        store.save(scenario, campaign, MISS_SUMMARY)
-        assert not store.legacy_path_for(spec_hash).exists()
-
-
 class TestLoadColumns:
     def test_columnar_entry_returns_array_views(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -259,25 +227,12 @@ class TestLoadColumns:
         assert isinstance(times, np.ndarray)
         assert times.tolist() == campaign.execution_times
 
-    def test_legacy_entry_is_converted_and_upgraded(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        campaign = campaign_for(scenario)
-        store.root.mkdir(parents=True)
-        spec_hash = scenario.spec_hash()
-        store.legacy_path_for(spec_hash).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign))
-        )
-        meta, columns = store.load_columns(spec_hash)
-        assert columns["execution_times"].tolist() == campaign.execution_times
-        assert store.path_for(spec_hash).is_file()  # upgraded on touch
-
     def test_missing_key_is_none(self, tmp_path):
         assert ResultStore(tmp_path / "store").load_columns("0" * 64) is None
 
 
 # ---------------------------------------------------------------------------
-# Shards: columnar + legacy tier
+# Shards
 # ---------------------------------------------------------------------------
 
 
@@ -302,17 +257,6 @@ class TestShards:
         assert loaded["il1_misses"] == SHARD_PAYLOAD["il1_misses"]
         assert loaded["workload"] == "synthetic_4KB"
         assert store.shard_path_for("abc", "0-2").suffix == COLUMNAR_SUFFIX
-
-    def test_legacy_json_shard_loads_and_upgrades(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.shard_root.mkdir(parents=True)
-        store.legacy_shard_path_for("abc", "0-2").write_text(
-            json.dumps(SHARD_PAYLOAD)
-        )
-        loaded = store.load_shard("abc", "0-2")
-        assert loaded["cycles"] == SHARD_PAYLOAD["cycles"]
-        assert store.shard_path_for("abc", "0-2").is_file()
-        assert not store.legacy_shard_path_for("abc", "0-2").exists()
 
     def test_corrupt_shard_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -380,19 +324,23 @@ class TestManifest:
             handle.write("+ unknown-kind name\n")
         assert store.keys() == hashes
 
-    def test_legacy_store_without_manifest_lists_json_entries(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_scenario()
-        store.root.mkdir(parents=True)
-        store.legacy_path_for(scenario.spec_hash()).write_text(
-            json.dumps(legacy_entry_payload(scenario, campaign_for(scenario)))
-        )
-        assert store.keys() == [scenario.spec_hash()]
-
-
 # ---------------------------------------------------------------------------
 # GC: sweep and clear leave no orphans
 # ---------------------------------------------------------------------------
+
+
+def _write_old_version_files(store, scenario):
+    """What an older version left in a store: a JSON-era campaign entry and
+    shard entry, and a cached placement map under ``maps/``."""
+    spec_hash = scenario.spec_hash()
+    store.root.mkdir(parents=True, exist_ok=True)
+    (store.root / f"{spec_hash}.json").write_text(
+        json.dumps(legacy_entry_payload(scenario, campaign_for(scenario)))
+    )
+    store.shard_root.mkdir(parents=True, exist_ok=True)
+    (store.shard_root / f"{spec_hash}.0-2.json").write_text(json.dumps(SHARD_PAYLOAD))
+    (store.root / "maps").mkdir(exist_ok=True)
+    (store.root / "maps" / "cafebabe.map").write_bytes(b"\x00")
 
 
 def _populated_store(tmp_path):
@@ -406,7 +354,8 @@ def _populated_store(tmp_path):
     store.save_shard(scenario.spec_hash(), "0-2", SHARD_PAYLOAD)
     store.record_study("smoke", [scenario.spec_hash()])
     build_run_table(store)  # materializes runtable/rows.json
-    # Stray tmp files from interrupted writers, queue + map artifacts.
+    # Stray tmp files from interrupted writers, queue artifacts, and the
+    # files an older version left.
     (store.root / "orphan.rcol.tmp").write_bytes(b"")
     (store.analysis_root / "orphan.json.tmp").write_text("")
     (store.shard_root / "orphan.rcol.tmp").write_bytes(b"")
@@ -414,8 +363,7 @@ def _populated_store(tmp_path):
         directory = store.queue_root / sub
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "w1.json").write_text("{}")
-    store.map_root.mkdir(parents=True, exist_ok=True)
-    (store.map_root / "cafebabe.map").write_bytes(b"\x00")
+    _write_old_version_files(store, scenario)
     return store
 
 
@@ -426,12 +374,14 @@ class TestGarbageCollection:
         assert removed >= 1
         leftovers = [p for p in store.root.rglob("*") if p.is_file()]
         assert leftovers == []
+        assert not (store.root / "maps").exists()
 
     def test_sweep_covers_tmp_and_runtable_artifacts(self, tmp_path):
         store = _populated_store(tmp_path)
         assert store.sweep(older_than=0.0) > 0
         # Campaign entries are the results — a sweep never touches them —
-        # and the manifest/provenance/map bookkeeping stays.  Everything
+        # and the manifest/provenance bookkeeping stays, as do the files an
+        # older version left (only ``clear`` removes those).  Everything
         # derived (analyses, shards, run-table rows, queue files, stray
         # ``*.tmp``) must be gone.
         survivors = sorted(
@@ -441,6 +391,8 @@ class TestGarbageCollection:
         assert survivors == sorted(
             [
                 f"{scenario.spec_hash()}.rcol",
+                f"{scenario.spec_hash()}.json",
+                f"{scenario.spec_hash()}.0-2.json",
                 "manifest.log",
                 "studies.log",
                 "cafebabe.map",

@@ -1,12 +1,12 @@
-"""The two-tier placement-map cache (repro.engine.mapcache).
+"""The in-memory placement-map cache (repro.engine.mapcache).
 
 The maps themselves are pure functions pinned by the placement tests; what
 these tests certify is the *caching*: memory hits return the shared frozen
-array, disk entries round-trip through the bit-packed format, corrupt
-entries self-heal instead of poisoning results, and concurrent writers race
-benignly through the atomic-rename protocol.
+array with the uncached values, the digest separates every input, threads
+racing on one missing map agree, and the LRU stays bounded.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.core.placement import PlacementGeometry, make_placement
 from repro.engine import mapcache
 from repro.engine.mapcache import (
     cached_set_index_matrix,
-    configure_map_cache,
     map_cache_stats,
     map_digest,
     reset_map_cache,
@@ -27,25 +26,11 @@ SEEDS = [1, 2, 0xDEADBEEF]
 
 
 @pytest.fixture(autouse=True)
-def isolated_cache(tmp_path):
-    """Point the module's global cache at a temp dir, restore after."""
-    saved = (
-        mapcache._disk_dir,
-        mapcache._dir_pinned,
-        mapcache._memory_entries,
-        mapcache._enabled,
-    )
+def isolated_cache():
+    """Start and end every test with an empty cache and zeroed counters."""
     reset_map_cache()
-    directory = tmp_path / "maps"
-    configure_map_cache(directory=directory, memory_entries=32, enabled=True)
-    yield directory
+    yield
     reset_map_cache()
-    (
-        mapcache._disk_dir,
-        mapcache._dir_pinned,
-        mapcache._memory_entries,
-        mapcache._enabled,
-    ) = saved
 
 
 def _policy(name="rm", num_sets=16, seed=0):
@@ -67,19 +52,16 @@ class TestTiers:
         second = cached_set_index_matrix(policy, LINES, SEEDS)
         assert second is first  # the LRU shares, it does not copy
         assert not first.flags.writeable
-        stats = map_cache_stats()
-        assert stats["misses"] == 1
-        assert stats["memory_hits"] == 1
-        assert stats["disk_writes"] == 1
+        assert map_cache_stats() == {"memory_hits": 1, "misses": 1}
 
-    def test_disk_hit_after_the_memory_tier_is_dropped(self):
+    def test_reset_drops_entries_and_counters(self):
         policy = _policy()
-        first = cached_set_index_matrix(policy, LINES, SEEDS).copy()
-        reset_map_cache(stats=False)  # drop memory, keep the disk entry
+        first = cached_set_index_matrix(policy, LINES, SEEDS)
+        reset_map_cache()
+        assert map_cache_stats() == {"memory_hits": 0, "misses": 0}
         again = cached_set_index_matrix(policy, LINES, SEEDS)
-        assert (again == first).all()
-        assert map_cache_stats()["disk_hits"] == 1
-        assert map_cache_stats()["misses"] == 1  # only the original build
+        assert again is not first and (again == first).all()
+        assert map_cache_stats() == {"memory_hits": 0, "misses": 1}
 
     def test_narrow_dtype_storage(self):
         assert cached_set_index_matrix(_policy(num_sets=16), LINES, SEEDS).dtype == np.uint8
@@ -96,71 +78,12 @@ class TestTiers:
         assert map_digest(_policy(num_sets=64), LINES, SEEDS) != base
         assert map_digest(_policy(name="hrp"), LINES, SEEDS) != base
 
-    def test_disabled_cache_bypasses_both_tiers(self, isolated_cache):
-        configure_map_cache(enabled=False)
-        policy = _policy()
-        first = cached_set_index_matrix(policy, LINES, SEEDS)
-        second = cached_set_index_matrix(policy, LINES, SEEDS)
-        assert (first == second).all() and first is not second
-        assert not any(isolated_cache.glob("*.map"))
-        assert map_cache_stats()["misses"] == 0
-
-
-class TestSelfHealing:
-    def _corrupt(self, directory, mutate):
-        (entry,) = directory.glob("*.map")
-        mutate(entry)
-        return entry
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda path: path.write_bytes(b"garbage"),
-            lambda path: path.write_bytes(path.read_bytes()[:-3]),  # truncated
-            lambda path: path.write_bytes(
-                path.read_bytes()[:-1] + bytes([path.read_bytes()[-1] ^ 0xFF])
-            ),  # bit flip in the payload
-        ],
-        ids=["bad-magic", "truncated", "bit-flip"],
-    )
-    def test_corrupt_entries_count_as_misses_and_are_rewritten(
-        self, isolated_cache, mutate
-    ):
-        policy = _policy()
-        want = cached_set_index_matrix(policy, LINES, SEEDS).copy()
-        self._corrupt(isolated_cache, mutate)
-        reset_map_cache(stats=False)
-        healed = cached_set_index_matrix(policy, LINES, SEEDS)
-        assert (healed == want).all()
-        assert map_cache_stats()["corrupt"] == 1
-        # The rebuild rewrote the entry: a third pass hits clean disk.
-        reset_map_cache(stats=False)
-        assert (cached_set_index_matrix(policy, LINES, SEEDS) == want).all()
-        assert map_cache_stats()["corrupt"] == 1
-        assert map_cache_stats()["disk_hits"] == 1
-
-    def test_geometry_mismatch_is_treated_as_corruption(self, isolated_cache):
-        policy = _policy()
-        cached_set_index_matrix(policy, LINES, SEEDS)
-        (entry,) = isolated_cache.glob("*.map")
-        # Forge a different geometry under the same digest name.
-        other = _policy(num_sets=64)
-        reset_map_cache(stats=False)
-        cached_set_index_matrix(other, LINES, SEEDS)
-        forged = [p for p in isolated_cache.glob("*.map") if p != entry]
-        entry.write_bytes(forged[0].read_bytes())
-        reset_map_cache(stats=False)
-        healed = cached_set_index_matrix(policy, LINES, SEEDS)
-        assert (healed.astype(np.int64) < 16).all()
-        assert map_cache_stats()["corrupt"] == 1
-
 
 class TestConcurrency:
-    def test_concurrent_writers_race_benignly(self, isolated_cache):
-        """Many threads building the same missing map: the atomic rename
-        protocol means every thread ends with identical bytes on disk and
-        identical values in hand."""
-        configure_map_cache(memory_entries=0)  # force every call to disk
+    def test_concurrent_writers_race_benignly(self):
+        """Threads building the same missing map (the server runs jobs on
+        worker threads) all end with identical values, and the cache holds
+        one entry for them."""
         policy = _policy()
         results = []
         errors = []
@@ -180,17 +103,50 @@ class TestConcurrency:
             thread.join(timeout=60)
         assert not errors
         assert len(results) == 8
-        baseline = results[0]
         for matrix in results[1:]:
-            assert (matrix == baseline).all()
-        # No temp files left behind; the surviving entry reads back clean.
-        assert not list(isolated_cache.glob("*.tmp"))
-        reset_map_cache(stats=False)
-        final = cached_set_index_matrix(policy, LINES, SEEDS)
-        assert (final == baseline).all()
+            assert (matrix == results[0]).all()
+        assert len(mapcache._memory) == 1
 
-    def test_memory_lru_is_bounded(self):
-        configure_map_cache(memory_entries=2)
+    def test_threads_evicting_each_other_count_every_lookup(self):
+        """More threads than cores cycling through more maps than the LRU
+        holds: lookups race evictions, and a lost counter update or a
+        ``move_to_end`` on an evicted key would show."""
+        policy = _policy()
+        seed_blocks = [[seed] for seed in range(48)]  # > the 32-entry bound
+        threads_n, rounds = 16, 6
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def worker(offset):
+                try:
+                    for step in range(rounds * len(seed_blocks)):
+                        block = seed_blocks[(offset + step) % len(seed_blocks)]
+                        cached_set_index_matrix(policy, LINES, block)
+                except Exception as error:  # pragma: no cover - failure detail
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        stats = map_cache_stats()
+        assert stats["memory_hits"] + stats["misses"] == (
+            threads_n * rounds * len(seed_blocks)
+        )
+        assert len(mapcache._memory) == mapcache._MEMORY_ENTRIES
+
+    def test_memory_lru_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(mapcache, "_MEMORY_ENTRIES", 2)
         policies = [_policy(num_sets=sets) for sets in (8, 16, 32, 64)]
         for policy in policies:
             cached_set_index_matrix(policy, LINES, SEEDS)

@@ -19,6 +19,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -35,6 +36,7 @@ from repro.analysis.experiments import ExperimentSettings
 from repro.exec import FileQueue, plan_shards, read_heartbeats, shard_task
 from repro.exec.status import exec_status_snapshot
 from repro.pwcet import MbptaConfig
+from repro.service.api import server as server_module
 from repro.service.api.server import ReproServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.services.events import EventBus, GLOBAL_CHANNEL
@@ -88,6 +90,20 @@ class _FitCounter:
             return original(estimator_self, *args, **kwargs)
 
         return wrapped
+
+
+def _raw_exchange(port: int, request: bytes, half_close: bool = False) -> tuple:
+    """Send raw bytes (closing our sending side only if ``half_close``) and
+    read the whole response; returns ``(status, json_body)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(request)
+        if half_close:
+            conn.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := conn.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 @pytest.fixture
@@ -306,6 +322,40 @@ class TestJobLifecycle:
         with pytest.raises(ServiceError) as excinfo:
             client._request("GET", "/v2/other")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+    def test_malformed_content_length_is_a_400(
+        self, tmp_path, start_server, length
+    ):
+        server, _ = start_server(ResultStore(tmp_path / "store"))
+        status, payload = _raw_exchange(
+            server.bound_port,
+            f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}".encode(),
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_body_shorter_than_content_length_is_a_400(
+        self, tmp_path, start_server
+    ):
+        server, _ = start_server(ResultStore(tmp_path / "store"))
+        status, payload = _raw_exchange(
+            server.bound_port,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}",
+            half_close=True,
+        )
+        assert status == 400
+        assert "truncated" in payload["error"]
+
+    def test_slow_client_gets_a_408(self, tmp_path, start_server, monkeypatch):
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT", 0.2)
+        server, _ = start_server(ResultStore(tmp_path / "store"))
+        # Half a request head, then silence: the deadline answers for us.
+        status, payload = _raw_exchange(
+            server.bound_port, b"POST /v1/jobs HTTP/1.1\r\nContent-Le"
+        )
+        assert status == 408
+        assert "error" in payload
 
     def test_wrong_method_is_405(self, tmp_path, start_server):
         _, client = start_server(ResultStore(tmp_path / "store"))
