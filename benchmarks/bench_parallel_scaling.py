@@ -1,6 +1,6 @@
 """Wall-clock scaling of parallel measurement campaigns.
 
-Runs the same ``run_all``-class workload — a 300-run MBPTA campaign of one
+Runs a default-size paper campaign — a 300-run MBPTA campaign of one
 EEMBC stand-in on the Random Modulo platform — at several ``jobs`` settings,
 verifies that every parallel campaign is bit-exact with the serial one, and
 prints the measured speedups.  On an otherwise idle machine with ``N`` free
@@ -45,7 +45,7 @@ def main() -> None:
         "--runs",
         type=int,
         default=int(os.environ.get("REPRO_RUNS", "300")),
-        help="measurement runs per campaign (default 300, the run_all size)",
+        help="measurement runs per campaign (default 300, the study default)",
     )
     parser.add_argument(
         "--jobs",

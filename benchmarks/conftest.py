@@ -6,8 +6,8 @@ pytest-benchmark records the wall-clock time of the underlying campaign.
 
 Campaign sizes are controlled by environment variables:
 
-* ``REPRO_RUNS=<n>``  — measurement runs per campaign (default 300),
-* ``REPRO_FULL=1``    — paper-scale campaigns (1000 runs),
+* ``REPRO_RUNS=<n>``  — measurement runs per campaign (default 300; the
+  paper uses 1000),
 * ``REPRO_SCALE=<f>`` — scale factor on workload iteration counts.
 """
 

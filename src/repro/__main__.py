@@ -2,19 +2,15 @@
 
 Usage::
 
-    python -m repro list
-    python -m repro run table1
-    python -m repro run fig4a --runs 200
-    python -m repro run all --runs 100 --scale 0.5
-    python -m repro run all --jobs 4            # parallel campaigns, bit-exact
-    python -m repro run table2 --jobs 0         # one worker per CPU
-    python -m repro run fig5 --engine numpy     # vectorized batch engine
-    python -m repro run fig4a --format json     # machine-readable output
-    python -m repro run all --format csv > results.csv
-
     python -m repro study list                  # registered studies
+    python -m repro study run table1
     python -m repro study run fig5 --runs 200   # cached: repeats hit the store
-    python -m repro study run all --engine numpy
+    python -m repro study run all --runs 100 --scale 0.5
+    python -m repro study run all --jobs 4      # parallel campaigns, bit-exact
+    python -m repro study run table2 --jobs 0   # one worker per CPU
+    python -m repro study run fig4a --format json   # machine-readable output
+    python -m repro study run all --format csv > results.csv
+    python -m repro study run fig5 --store /tmp/scratch_store  # throwaway store
     python -m repro study compare fig5 fig5     # diff two executed studies
     python -m repro study clean                 # drop the result store
 
@@ -23,7 +19,7 @@ Usage::
     python -m repro query export table.csv --estimator gumbel-pwm
     python -m repro query compare rm hrp --cutoff 1e-15
 
-    python -m repro run fig4a --estimator gumbel-mle
+    python -m repro study run fig4a --estimator gumbel-mle
     python -m repro pwcet list                  # registered pWCET estimators
     python -m repro pwcet compare fig5 --runs 24  # all estimators side by side
 
@@ -40,10 +36,9 @@ Usage::
     python -m repro submit fig5 --format json --url http://127.0.0.1:8765
 
 Each experiment id corresponds to one table/figure of the paper (see
-DESIGN.md's per-experiment index); both surfaces resolve ids through the
-study registry (:mod:`repro.study`).  ``run`` always simulates — the
-historical behaviour — while ``study run`` executes through the on-disk
-result store (``results/store/`` by default, override with ``--store``):
+DESIGN.md's per-experiment index) and names a study of the registry
+(:mod:`repro.study`).  ``study run`` executes through the on-disk result
+store (``results/store/`` by default, override with ``--store``):
 scenarios whose spec hash is already stored are loaded instead of
 re-simulated, so a repeated ``study run`` is a full cache hit.
 
@@ -86,9 +81,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import replace
 from typing import Dict, Optional
 
 from .analysis.experiments import ExperimentSettings
@@ -102,29 +97,17 @@ from .analysis.report import (
 from .engine import engine_capabilities, get_engine, registered_engines
 from .pwcet import (
     MBPTA_MIN_RUNS,
-    MbptaConfig,
     available_estimators,
     estimator_capabilities,
-    get_estimator,
 )
 from .study import DEFAULT_STORE_DIR, ResultStore, available_studies, get_study
-
-#: Experiment id -> (description, driver taking ExperimentSettings).
-#: Derived from the study registry; kept for backwards compatibility with
-#: callers that imported this mapping.
-EXPERIMENTS: Dict[str, tuple] = {
-    name: (
-        get_study(name).description,
-        lambda settings, _name=name: get_study(_name).run(settings).result,
-    )
-    for name in available_studies()
-}
 
 
 def _add_campaign_arguments(
     parser: argparse.ArgumentParser, include_format: bool = True
 ) -> None:
-    """The knobs shared by ``run`` and ``study run``/``study compare``."""
+    """The knobs shared by ``study run``/``study compare``, ``pwcet compare``
+    and ``submit``."""
     parser.add_argument("--runs", type=int, default=None, help="measurement runs per campaign")
     parser.add_argument("--scale", type=float, default=None, help="workload iteration scale factor")
     parser.add_argument("--seed", type=int, default=None, help="campaign master seed")
@@ -177,17 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list available experiments")
-
     subparsers.add_parser(
         "engines",
         help="print the simulation-engine capability matrix "
         "(including optional-dependency availability)",
     )
-
-    run = subparsers.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
-    _add_campaign_arguments(run)
 
     study = subparsers.add_parser(
         "study", help="declarative studies with an on-disk result store"
@@ -199,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     study_run = study_commands.add_parser(
         "run", help="run one study (or 'all') through the result store"
     )
-    study_run.add_argument("study", choices=sorted(EXPERIMENTS) + ["all"])
+    study_run.add_argument("study", choices=available_studies() + ("all",))
     _add_campaign_arguments(study_run)
     _add_store_argument(study_run)
     study_run.add_argument(
@@ -225,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     study_compare = study_commands.add_parser(
         "compare", help="run two studies and compare scenarios sharing a label"
     )
-    study_compare.add_argument("study_a", choices=sorted(EXPERIMENTS))
-    study_compare.add_argument("study_b", choices=sorted(EXPERIMENTS))
+    study_compare.add_argument("study_a", choices=available_studies())
+    study_compare.add_argument("study_b", choices=available_studies())
     # The comparison is a human-facing diff table; no --format here.
     _add_campaign_arguments(study_compare, include_format=False)
     _add_store_argument(study_compare)
@@ -354,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = subparsers.add_parser(
         "submit", help="submit an experiment to a running analysis server"
     )
-    submit.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
+    submit.add_argument("experiment", choices=available_studies() + ("all",))
     _add_campaign_arguments(submit, include_format=False)
     submit.add_argument(
         "--format",
@@ -484,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         help="project one experiment's campaigns through several estimators",
     )
-    pwcet_compare.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    pwcet_compare.add_argument("experiment", choices=available_studies())
     _add_campaign_arguments(pwcet_compare)
     _add_store_argument(pwcet_compare)
     pwcet_compare.add_argument(
@@ -506,24 +483,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
-    settings = ExperimentSettings.from_env()
-    if args.runs is not None:
-        settings = replace(settings, runs=args.runs)
-    if args.scale is not None:
-        settings = replace(settings, scale=args.scale)
-    if args.seed is not None:
-        settings = replace(settings, master_seed=args.seed)
-    if args.jobs is not None:
-        settings = replace(settings, jobs=args.jobs)
-    if args.engine is not None:
-        settings = replace(settings, engine=args.engine)
-    if getattr(args, "estimator", None) is not None:
-        settings = replace(settings, estimator=args.estimator)
-    if getattr(args, "shard_size", None) is not None:
-        settings = replace(settings, shard_size=args.shard_size)
-    if getattr(args, "resume", False):
-        settings = replace(settings, resume=True)
-    return settings
+    """``ExperimentSettings()`` with every campaign flag the user passed."""
+    flags = {
+        "runs": args.runs,
+        "scale": args.scale,
+        "master_seed": args.seed,
+        "jobs": args.jobs,
+        "engine": args.engine,
+        "estimator": args.estimator,
+        "shard_size": getattr(args, "shard_size", None),
+        "resume": getattr(args, "resume", False) or None,
+    }
+    return ExperimentSettings(
+        **{name: value for name, value in flags.items() if value is not None}
+    )
 
 
 def _parse_age(text: str) -> float:
@@ -541,8 +514,8 @@ def _parse_age(text: str) -> float:
             f"invalid age {text!r}; expected seconds or a number with an "
             "s/m/h/d suffix (e.g. 90, 45m, 7d)"
         ) from None
-    if seconds < 0:
-        raise ValueError(f"age must be >= 0, got {seconds}")
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ValueError(f"age must be a finite number >= 0, got {seconds}")
     return seconds
 
 
@@ -570,8 +543,8 @@ def _run_one(
     identifier: str,
     settings: ExperimentSettings,
     output_format: str,
-    store: Optional[ResultStore] = None,
-    use_cache: bool = True,
+    store: ResultStore,
+    use_cache: bool,
 ) -> None:
     study = get_study(identifier)
     chatter = sys.stdout if output_format == "text" else sys.stderr
@@ -587,13 +560,12 @@ def _run_one(
             analysis=outcome.results.analysis_summaries(settings.estimator),
         )
     )
-    if store is not None:
-        print(f"-- {identifier}: {outcome.report.summary()}", file=chatter)
+    print(f"-- {identifier}: {outcome.report.summary()}", file=chatter)
     print(f"-- {identifier} finished in {time.time() - start:.1f}s\n", file=chatter)
 
 
 def _resolve_targets(requested: str) -> list:
-    return sorted(EXPERIMENTS) if requested == "all" else [requested]
+    return list(available_studies()) if requested == "all" else [requested]
 
 
 def _pwcet_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -626,7 +598,7 @@ def _pwcet_command(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     # the comparison to that single estimator instead of being ignored.
     estimators = args.estimators
     if estimators is None and settings.estimator:
-        estimators = [MbptaConfig(fit_method=settings.estimator).estimator_name]
+        estimators = [settings.estimator]
     try:
         # Routed through the result set so warm comparisons reuse the
         # persisted analyses and re-fit nothing.
@@ -784,27 +756,20 @@ def _print_engine_matrix() -> None:
 def _validated_settings(
     parser: argparse.ArgumentParser, args: argparse.Namespace, targets
 ) -> Optional[ExperimentSettings]:
-    """Merge env/flags and validate; prints the error and returns None if bad."""
+    """Merge defaults and flags and validate; prints the error and returns
+    None if the campaign size is unusable (bad flag values exit via argparse)."""
     settings = _settings_from_args(args)
-    # Validate after merging env vars (REPRO_JOBS) and command-line flags, so
-    # a bad value is rejected with a clean message wherever it came from.
+    if not math.isfinite(settings.scale) or settings.scale <= 0:
+        parser.error(f"--scale must be a finite number > 0, got {settings.scale}")
     if settings.jobs < 0:
-        parser.error(f"jobs must be >= 0 (0 = one worker per CPU), got {settings.jobs}")
+        parser.error(f"--jobs must be >= 0 (0 = one worker per CPU), got {settings.jobs}")
     if settings.shard_size is not None and settings.shard_size < 1:
-        parser.error(f"shard-size must be >= 1, got {settings.shard_size}")
+        parser.error(f"--shard-size must be >= 1, got {settings.shard_size}")
     if settings.resume and settings.shard_size is None:
         parser.error("--resume only applies to sharded runs; pass --shard-size too")
-    try:
-        engine = get_engine(settings.engine)  # catches bad REPRO_ENGINE values too
-        availability = engine.availability()
-        if availability is not None:
-            parser.error(availability)
-        if settings.estimator:
-            # Resolve through the config so the legacy "pwm"/"mle" aliases
-            # stay usable from REPRO_ESTIMATOR; catches bad values too.
-            get_estimator(MbptaConfig(fit_method=settings.estimator).estimator_name)
-    except ValueError as error:
-        parser.error(str(error))
+    availability = get_engine(settings.engine).availability()
+    if availability is not None:
+        parser.error(availability)
     problem = _validate_run_request(targets, settings)
     if problem is not None:
         print(problem, file=sys.stderr)
@@ -972,28 +937,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name, (description, _) in EXPERIMENTS.items():
-            print(f"{name.ljust(width)}  {description}")
-        return 0
-
     if args.command == "engines":
         _print_engine_matrix()
-        return 0
-
-    if args.command == "run":
-        targets = _resolve_targets(args.experiment)
-        settings = _validated_settings(parser, args, targets)
-        if settings is None:
-            return 2
-        # Sharded execution needs the result store; plain `run` has none, so
-        # a REPRO_SHARD_SIZE from the environment must not apply here.
-        settings = replace(settings, shard_size=None, resume=False)
-        if args.output_format == "csv":
-            print(CSV_HEADER)
-        for identifier in targets:
-            _run_one(identifier, settings, args.output_format)
         return 0
 
     if args.command == "pwcet":

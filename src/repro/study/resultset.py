@@ -417,9 +417,14 @@ class ResultSet:
         )
 
     def miss_rates(self) -> Dict[str, Dict[str, float]]:
-        """Per-scenario miss summaries (scenarios without detail are omitted)."""
+        """Per-scenario miss summaries (scenarios without detail are omitted).
+
+        Metric keys are sorted: a simulated, a sharded and a stored campaign
+        build their summaries in different orders, and the ``csv`` rendering
+        must not depend on where a campaign came from.
+        """
         return {
-            outcome.label: dict(outcome.miss_summary)
+            outcome.label: dict(sorted(outcome.miss_summary.items()))
             for outcome in self
             if outcome.miss_summary
         }

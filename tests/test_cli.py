@@ -6,74 +6,95 @@ import json
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, build_parser, main
+from repro.__main__ import _parse_age, build_parser, main
 from repro.analysis.report import CSV_HEADER
 from repro.engine import available_engines
 from repro.engine.jit import numba_missing_reason
+from repro.study import available_studies
+
+
+@pytest.fixture
+def study_run(tmp_path):
+    """``study run <argv...>`` into a store under ``tmp_path``."""
+    store = str(tmp_path / "store")
+    return lambda *argv: main(["study", "run", *argv, "--store", store])
 
 
 class TestParser:
     def test_list_command(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["study", "list"]) == 0
         output = capsys.readouterr().out
-        for identifier in EXPERIMENTS:
+        for identifier in available_studies():
             assert identifier in output
 
     def test_run_requires_known_experiment(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "table9"])
+            build_parser().parse_args(["study", "run", "table9"])
 
     def test_missing_command_is_an_error(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv", [["run", "fig5"], ["list"]])
+    def test_top_level_run_and_list_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestRun:
-    def test_run_table1(self, capsys):
-        assert main(["run", "table1"]) == 0
+    def test_run_table1(self, study_run, capsys):
+        assert study_run("table1") == 0
         output = capsys.readouterr().out
         assert "Table 1" in output
         assert "finished" in output
 
-    def test_run_fig1_with_small_campaign(self, capsys):
-        assert main(["run", "fig1", "--runs", "40", "--scale", "0.25", "--seed", "7"]) == 0
+    def test_run_fig1_with_small_campaign(self, study_run, capsys):
+        assert study_run("fig1", "--runs", "40", "--scale", "0.25", "--seed", "7") == 0
         output = capsys.readouterr().out
         assert "pWCET" in output
 
-    def test_run_ablation_replacement_small(self, capsys):
-        assert main(["run", "ablation_repl", "--runs", "25", "--scale", "0.25"]) == 0
+    def test_run_ablation_replacement_small(self, study_run, capsys):
+        assert study_run("ablation_repl", "--runs", "25", "--scale", "0.25") == 0
         assert "placement x replacement" in capsys.readouterr().out
+
+    def test_settings_come_from_flags_only(self, study_run, monkeypatch, capsys):
+        # The CLI reads no REPRO_* settings variable: an unknown engine and a
+        # run count below the MBPTA minimum in the environment change nothing.
+        monkeypatch.setenv("REPRO_ENGINE", "warp")
+        monkeypatch.setenv("REPRO_RUNS", "8")
+        assert study_run("fig1", "--scale", "0.25") == 0
+        assert "pWCET" in capsys.readouterr().out
 
 
 class TestEngineSelection:
     def test_engine_choices_come_from_registry(self):
         parser = build_parser()
-        args = parser.parse_args(["run", "fig5", "--engine", "numpy"])
+        args = parser.parse_args(["study", "run", "fig5", "--engine", "numpy"])
         assert args.engine == "numpy"
         assert set(available_engines()) >= {"numpy", "reference"}
 
     def test_jit_is_a_parser_choice_even_without_numba(self):
         # Registered engines are CLI choices regardless of availability;
         # the actionable error comes later, from settings validation.
-        args = build_parser().parse_args(["run", "fig5", "--engine", "jit"])
+        args = build_parser().parse_args(["study", "run", "fig5", "--engine", "jit"])
         assert args.engine == "jit"
 
     def test_unregistered_engine_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig5", "--engine", "warp"])
+            build_parser().parse_args(["study", "run", "fig5", "--engine", "warp"])
 
-    def test_run_with_numpy_engine(self, capsys):
-        assert main(
-            ["run", "fig5", "--runs", "20", "--scale", "0.25", "--engine", "numpy"]
-        ) == 0
+    def test_run_with_numpy_engine(self, study_run, capsys):
+        assert study_run("fig5", "--runs", "20", "--scale", "0.25", "--engine", "numpy") == 0
         assert "pWCET" in capsys.readouterr().out
 
     @pytest.mark.skipif(
         numba_missing_reason() is None, reason="numba installed"
     )
-    def test_unavailable_jit_fails_up_front_with_install_hint(self, capsys):
+    def test_unavailable_jit_fails_up_front_with_install_hint(self, study_run, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "fig5", "--runs", "20", "--engine", "jit"])
+            study_run("fig5", "--runs", "20", "--engine", "jit")
         assert excinfo.value.code == 2  # argparse usage error, pre-campaign
         err = capsys.readouterr().err
         assert "numba" in err and "jit" in err
@@ -82,10 +103,8 @@ class TestEngineSelection:
         numba_missing_reason() is not None,
         reason="numba not installed (optional 'jit' extra)",
     )
-    def test_run_with_jit_engine(self, capsys):
-        assert main(
-            ["run", "fig5", "--runs", "20", "--scale", "0.25", "--engine", "jit"]
-        ) == 0
+    def test_run_with_jit_engine(self, study_run, capsys):
+        assert study_run("fig5", "--runs", "20", "--scale", "0.25", "--engine", "jit") == 0
         assert "pWCET" in capsys.readouterr().out
 
 
@@ -114,7 +133,7 @@ class TestEstimatorSelection:
         from repro.pwcet import available_estimators
 
         parser = build_parser()
-        args = parser.parse_args(["run", "fig5", "--estimator", "gumbel-mle"])
+        args = parser.parse_args(["study", "run", "fig5", "--estimator", "gumbel-mle"])
         assert args.estimator == "gumbel-mle"
         assert set(available_estimators()) >= {
             "gumbel-pwm",
@@ -124,25 +143,13 @@ class TestEstimatorSelection:
 
     def test_unregistered_estimator_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig5", "--estimator", "weibull"])
+            build_parser().parse_args(["study", "run", "fig5", "--estimator", "weibull"])
 
-    def test_run_with_exponential_excess(self, capsys):
-        assert main(
-            ["run", "fig5", "--runs", "20", "--scale", "0.25",
-             "--estimator", "exponential-excess"]
+    def test_run_with_exponential_excess(self, study_run, capsys):
+        assert study_run(
+            "fig5", "--runs", "20", "--scale", "0.25", "--estimator", "exponential-excess"
         ) == 0
         assert "pWCET" in capsys.readouterr().out
-
-    def test_legacy_alias_accepted_from_environment(self, capsys, monkeypatch):
-        # REPRO_ESTIMATOR accepts the historical fit_method spellings.
-        monkeypatch.setenv("REPRO_ESTIMATOR", "pwm")
-        assert main(["run", "fig5", "--runs", "20", "--scale", "0.25"]) == 0
-        assert "pWCET" in capsys.readouterr().out
-
-    def test_bad_environment_estimator_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ESTIMATOR", "weibull")
-        with pytest.raises(SystemExit):
-            main(["run", "fig5", "--runs", "20", "--scale", "0.25"])
 
 
 class TestPwcetCommand:
@@ -279,8 +286,8 @@ class TestShardedExecution:
 
 
 class TestOutputFormats:
-    def test_json_format_is_parseable_and_self_identifying(self, capsys):
-        assert main(["run", "table1", "--format", "json"]) == 0
+    def test_json_format_is_parseable_and_self_identifying(self, study_run, capsys):
+        assert study_run("table1", "--format", "json") == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert payload["experiment"] == "table1"
@@ -289,8 +296,8 @@ class TestOutputFormats:
         assert "finished" in captured.err
         assert "finished" not in captured.out
 
-    def test_csv_format_emits_header_and_rows(self, capsys):
-        assert main(["run", "table1", "--format", "csv"]) == 0
+    def test_csv_format_emits_header_and_rows(self, study_run, capsys):
+        assert study_run("table1", "--format", "csv") == 0
         captured = capsys.readouterr()
         lines = captured.out.strip().splitlines()
         assert lines[0] == CSV_HEADER
@@ -298,26 +305,24 @@ class TestOutputFormats:
         assert rows, "expected at least one data row"
         assert all(row[0] == "table1" and len(row) == 3 for row in rows)
 
-    def test_text_format_is_default(self, capsys):
-        assert main(["run", "table1"]) == 0
+    def test_text_format_is_default(self, study_run, capsys):
+        assert study_run("table1") == 0
         out = capsys.readouterr().out
         assert "Table 1" in out and "finished" in out
 
-    def test_json_format_surfaces_discarded_runs(self, capsys):
+    def test_json_format_surfaces_discarded_runs(self, study_run, capsys):
         # 25 runs -> effective block size 2 -> one trailing run is discarded
         # by block-maxima grouping, and --format json must say so.
-        assert main(
-            ["run", "fig1", "--runs", "25", "--scale", "0.25", "--format", "json"]
-        ) == 0
+        assert study_run("fig1", "--runs", "25", "--scale", "0.25", "--format", "json") == 0
         payload = json.loads(capsys.readouterr().out)
         analysis = payload["analysis"]
         assert analysis["a2time/rm"]["discarded_runs"] == 1.0
         assert analysis["a2time/rm"]["estimator"] == "gumbel-pwm"
 
-    def test_json_format_analysis_follows_estimator(self, capsys):
-        assert main(
-            ["run", "fig5", "--runs", "24", "--scale", "0.25",
-             "--estimator", "exponential-excess", "--format", "json"]
+    def test_json_format_analysis_follows_estimator(self, study_run, capsys):
+        assert study_run(
+            "fig5", "--runs", "24", "--scale", "0.25",
+            "--estimator", "exponential-excess", "--format", "json",
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         estimators = {
@@ -326,6 +331,35 @@ class TestOutputFormats:
         assert estimators == {"exponential-excess"}
         for entry in payload["analysis"].values():
             assert entry["discarded_runs"] == 0.0
+
+
+class TestBadSettingValues:
+    """Out-of-range flag values are one usage error (exit 2), never a
+    traceback from deep inside a campaign."""
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [["study", "run", "fig1"], ["pwcet", "compare", "fig1"]],
+        ids=["study-run", "pwcet-compare"],
+    )
+    def test_bad_scale_is_a_usage_error(self, command, scale, tmp_path, capsys):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [f"--scale={scale}", "--store", str(store)])
+        assert excinfo.value.code == 2
+        assert "--scale must be a finite number > 0" in capsys.readouterr().err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("age", ["nan", "inf", "nanh", "-1"])
+    def test_bad_age_is_a_usage_error(self, age, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "clean", f"--older-than={age}",
+                  "--store", str(tmp_path / "store")])
+        assert excinfo.value.code == 2
+        assert "age must be a finite number >= 0" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            _parse_age(age)
 
 
 class TestExecStatusFormats:

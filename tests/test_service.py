@@ -487,9 +487,7 @@ class TestWarmOverlap:
         )
         capsys.readouterr()  # drop the CLI chatter
         store = ResultStore(store_dir)
-        settings = replace(
-            ExperimentSettings.from_env(), runs=24, scale=0.05
-        )
+        settings = ExperimentSettings(runs=24, scale=0.05)
         scenarios = get_study("fig5").plan(settings)
         counter = _FitCounter(monkeypatch)
         _, client = start_server(store)
